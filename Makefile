@@ -1,14 +1,6 @@
 GO ?= go
 
-# Pre-optimization reference measurements (this machine, quick scale,
-# seed 2022, -j 1, cold cache): recorded in the BENCH report so it always
-# carries its own before/after. Override when re-baselining. The current
-# values are the PR-7 numbers the table-driven QARMA work started from.
-BASELINE_COLD ?= 257.6
-BASELINE_STEP ?= 835
-BASELINE_NOTE ?= PR-7 main (pre table-driven QARMA), hybpexp -scale quick -seed 2022 -j 1, single-core container
-
-.PHONY: ci vet lint build test race bench benchsmoke profile record serve loadtest chaos chaossmoke cluster-smoke trace-smoke journal-smoke
+.PHONY: ci vet lint build test race bench benchsmoke perfbench-build profile record serve loadtest chaos chaossmoke cluster-smoke trace-smoke journal-smoke
 
 # ci is the full gate: static checks (go vet plus hybplint, the
 # project-specific analyzers for nil-safe handles, determinism, atomic
@@ -21,8 +13,9 @@ BASELINE_NOTE ?= PR-7 main (pre table-driven QARMA), hybpexp -scale quick -seed 
 # bit-identical to local ones, a trace smoke so -tracefile keeps
 # producing loadable Chrome trace JSON, and a journal smoke (hybpd
 # SIGKILLed mid-sweep, restarted on the same -journal) so crash recovery
-# keeps losing nothing.
-ci: vet lint build test race benchsmoke chaossmoke cluster-smoke trace-smoke journal-smoke
+# keeps losing nothing. perfbench-build compiles the benchmark module,
+# which the root go build cannot see.
+ci: vet lint build test race benchsmoke perfbench-build chaossmoke cluster-smoke trace-smoke journal-smoke
 
 vet:
 	$(GO) vet ./...
@@ -96,17 +89,21 @@ loadtest:
 # bench regenerates BENCH_PR8.json: full micro-benchmarks (median of 3 runs
 # each, diffed against the pinned PR-7 report first, so the regression table
 # is part of the run) plus a timed cold/warm `hybpexp -scale quick all` run
-# with an output digest. Takes minutes; run on an otherwise idle machine or
-# the wall-clock is noise.
+# with an output digest. The report's baseline block (cold seconds, StepHyBP
+# ns/op) is read from BENCH_PR7.json. Takes minutes; run on an otherwise
+# idle machine or the wall-clock is noise.
 bench:
-	$(GO) run ./cmd/hybpbench -out BENCH_PR8.json -baseline BENCH_PR7.json \
-	    -baseline-cold $(BASELINE_COLD) -baseline-step $(BASELINE_STEP) \
-	    -baseline-note "$(BASELINE_NOTE)"
+	$(GO) run ./cmd/hybpbench -out BENCH_PR8.json -baseline BENCH_PR7.json
 
 # benchsmoke compiles and runs every benchmark for exactly one iteration
 # and skips the experiment timing — the cheap CI gate.
 benchsmoke:
 	$(GO) run ./cmd/hybpbench -smoke
+
+# perfbench-build vets and compiles the nested benchmark module (perfbench/,
+# its own go.mod), which imports internal packages of this one.
+perfbench-build:
+	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null .
 
 # profile runs a quick-scale sweep under the CPU profiler and prints the
 # top-10 flat functions — the first step of every perf PR (both rounds of

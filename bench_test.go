@@ -29,11 +29,22 @@ func benchScale() sim.Scale {
 	}
 }
 
+// cold runs one experiment on a fresh in-memory runner, so every b.N
+// iteration simulates its points rather than hitting the cache the
+// previous iteration filled.
+func cold[T any](exp func(r *sim.Runner) T) T {
+	r := sim.NewDefaultRunner()
+	defer r.Close()
+	return exp(r)
+}
+
 func BenchmarkTable1(b *testing.B) {
 	sc := benchScale()
 	var last sim.Table1Result
 	for i := 0; i < b.N; i++ {
-		last = sim.Table1(sc, []string{"gcc", "deepsjeng"}, workload.Mixes()[:2])
+		last = cold(func(r *sim.Runner) sim.Table1Result {
+			return r.Table1(sc, []string{"gcc", "deepsjeng"}, workload.Mixes()[:2])
+		})
 	}
 	for _, r := range last.Rows {
 		name := strings.ReplaceAll(r.Mechanism, " ", "-")
@@ -54,7 +65,9 @@ func BenchmarkTable6(b *testing.B) {
 	sc := benchScale()
 	var last sim.Table6Result
 	for i := 0; i < b.N; i++ {
-		last = sim.Table6(sc, []string{"gcc"}, []int{1024, 32768})
+		last = cold(func(r *sim.Runner) sim.Table6Result {
+			return r.Table6(sc, []string{"gcc"}, []int{1024, 32768})
+		})
 	}
 	b.ReportMetric(last.Loss[sc.DefaultInterval][1024], "loss-1K-%")
 	b.ReportMetric(last.Loss[sc.DefaultInterval][32768], "loss-32K-%")
@@ -64,7 +77,9 @@ func BenchmarkFig2(b *testing.B) {
 	sc := benchScale()
 	var last sim.Fig2Result
 	for i := 0; i < b.N; i++ {
-		last = sim.Fig2(sc, []string{"mcf", "namd"})
+		last = cold(func(r *sim.Runner) sim.Fig2Result {
+			return r.Fig2(sc, []string{"mcf", "namd"})
+		})
 	}
 	b.ReportMetric(last.Avg[8], "avg-loss-8cyc-%")
 }
@@ -73,7 +88,9 @@ func BenchmarkFig5(b *testing.B) {
 	sc := benchScale()
 	var last sim.Fig5Result
 	for i := 0; i < b.N; i++ {
-		last = sim.Fig5(sc, []string{"deepsjeng"})
+		last = cold(func(r *sim.Runner) sim.Fig5Result {
+			return r.Fig5(sc, []string{"deepsjeng"})
+		})
 	}
 	b.ReportMetric(last.Avg[sc.DefaultInterval], "norm-ipc-at-default")
 }
@@ -82,7 +99,9 @@ func BenchmarkFig6(b *testing.B) {
 	sc := benchScale()
 	var last sim.Fig6Result
 	for i := 0; i < b.N; i++ {
-		last = sim.Fig6(sc, []string{"deepsjeng", "gcc"})
+		last = cold(func(r *sim.Runner) sim.Fig6Result {
+			return r.Fig6(sc, []string{"deepsjeng", "gcc"})
+		})
 	}
 	p := last.Points[len(last.Points)-1]
 	b.ReportMetric(p.HyBP, "hybp-%")
@@ -94,7 +113,9 @@ func BenchmarkFig7(b *testing.B) {
 	sc := benchScale()
 	var last sim.Fig7Result
 	for i := 0; i < b.N; i++ {
-		last = sim.Fig7(sc, workload.Mixes()[:2])
+		last = cold(func(r *sim.Runner) sim.Fig7Result {
+			return r.Fig7(sc, workload.Mixes()[:2])
+		})
 	}
 	b.ReportMetric(last.AvgT[sim.MechHyBP], "hybp-thpt-%")
 	b.ReportMetric(last.AvgT[sim.MechPartition], "partition-thpt-%")
@@ -105,7 +126,9 @@ func BenchmarkFig8(b *testing.B) {
 	sc := benchScale()
 	var last sim.Fig8Result
 	for i := 0; i < b.N; i++ {
-		last = sim.Fig8(sc, workload.Mixes()[:1], []float64{0, 1.0, 2.4})
+		last = cold(func(r *sim.Runner) sim.Fig8Result {
+			return r.Fig8(sc, workload.Mixes()[:1], []float64{0, 1.0, 2.4})
+		})
 	}
 	b.ReportMetric(last.Points[0].PerfLoss, "repl-0-%")
 	b.ReportMetric(last.Points[len(last.Points)-1].PerfLoss, "repl-240-%")
@@ -116,7 +139,9 @@ func BenchmarkTournament(b *testing.B) {
 	sc := benchScale()
 	var last sim.TournamentResult
 	for i := 0; i < b.N; i++ {
-		last = sim.Tournament(sc, []string{"deepsjeng", "gcc", "xz"})
+		last = cold(func(r *sim.Runner) sim.TournamentResult {
+			return r.Tournament(sc, []string{"deepsjeng", "gcc", "xz"})
+		})
 	}
 	b.ReportMetric(last.GainPercent, "tage-gain-%")
 }

@@ -16,6 +16,11 @@
 //	                                         ns/op, B/op, allocs/op against the
 //	                                         pinned report; -strict exits
 //	                                         nonzero on >10% ns/op regressions
+//	hybpbench -out BENCH_PR8.json -baseline BENCH_PR7.json
+//	                                         both: the regression table, then
+//	                                         a full report whose baseline block
+//	                                         (cold seconds, StepHyBP ns/op) is
+//	                                         read from the pinned report
 //
 // Each benchmark runs -reps times (default 3, via go test -count) and the
 // report records the per-metric median, so one noisy scheduler quantum can't
@@ -91,9 +96,8 @@ type expTiming struct {
 	OutputFNV    string  `json:"output_fnv"`
 }
 
-// baseline records the pre-optimization measurements the current numbers
-// are compared against; values come from flags (the Makefile pins the
-// seed-commit measurements).
+// baseline records the earlier measurements the current numbers are
+// compared against, derived from the -baseline report by baselineFrom.
 type baseline struct {
 	ColdSeconds float64 `json:"cold_seconds,omitempty"`
 	StepNsPerOp float64 `json:"step_ns_per_op,omitempty"`
@@ -108,10 +112,7 @@ func main() {
 		skipExp   = flag.Bool("skipexp", false, "skip the timed hybpexp run (benchmarks only)")
 		scale     = flag.String("scale", "quick", "experiment scale for the timed run")
 		seed      = flag.Uint64("seed", 2022, "experiment seed")
-		baseCold  = flag.Float64("baseline-cold", 0, "recorded pre-optimization cold-run seconds (annotates the report)")
-		baseStep  = flag.Float64("baseline-step", 0, "recorded pre-optimization pipeline-step ns/op")
-		baseNote  = flag.String("baseline-note", "", "provenance note for the baseline numbers")
-		baseFile  = flag.String("baseline", "", "compare mode: rerun benchmarks and diff ns/op, B/op, allocs/op against this pinned BENCH_*.json report instead of writing a new one")
+		baseFile  = flag.String("baseline", "", "compare mode: rerun benchmarks and diff ns/op, B/op, allocs/op against this pinned BENCH_*.json report instead of writing a new one; with -out, also write the new report with this one's cold seconds and step ns/op as its baseline block")
 		strict    = flag.Bool("strict", false, "with -baseline, exit nonzero when any benchmark regresses more than 10% in ns/op")
 		reps      = flag.Int("reps", 3, "runs per benchmark (go test -count); the report records per-metric medians")
 	)
@@ -132,8 +133,14 @@ func main() {
 		GoVersion:   runtime.Version(),
 		GOARCH:      runtime.GOARCH,
 	}
-	if *baseCold > 0 || *baseStep > 0 {
-		rep.Baseline = &baseline{ColdSeconds: *baseCold, StepNsPerOp: *baseStep, Note: *baseNote}
+	var base report
+	if *baseFile != "" {
+		var err error
+		if base, err = loadReport(*baseFile); err != nil {
+			fmt.Fprintf(os.Stderr, "hybpbench: -baseline: %v\n", err)
+			os.Exit(1)
+		}
+		rep.Baseline = baselineFrom(*baseFile, base)
 	}
 
 	for _, pkg := range benchPackages {
@@ -153,7 +160,7 @@ func main() {
 	// and its provenance in a single run.
 	strictFail := false
 	if *baseFile != "" {
-		regressions, err := compareBaseline(*baseFile, rep.Benchmarks)
+		regressions, err := compareBaseline(*baseFile, base, rep.Benchmarks)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hybpbench: -baseline: %v\n", err)
 			os.Exit(1)
@@ -212,18 +219,39 @@ func main() {
 // hot-path regressions don't.
 const regressThresholdPct = 10.0
 
-// compareBaseline diffs the just-measured benchmarks against a pinned
-// report, prints the regression table, and returns how many benchmarks
-// regressed more than regressThresholdPct in ns/op.
-func compareBaseline(path string, cur []benchEntry) (int, error) {
+// loadReport reads a pinned BENCH_*.json report.
+func loadReport(path string) (report, error) {
+	var r report
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return 0, err
+		return r, err
 	}
-	var base report
-	if err := json.Unmarshal(b, &base); err != nil {
-		return 0, fmt.Errorf("%s: %v", path, err)
+	if err := json.Unmarshal(b, &r); err != nil {
+		return r, fmt.Errorf("%s: %v", path, err)
 	}
+	return r, nil
+}
+
+// baselineFrom derives a new report's baseline block from the pinned
+// report at path: its cold sweep seconds and its BenchmarkStepHyBP ns/op,
+// each left zero when that report did not measure it.
+func baselineFrom(path string, r report) *baseline {
+	b := &baseline{Note: fmt.Sprintf("%s, generated %s", path, r.GeneratedAt)}
+	if r.Experiment != nil {
+		b.ColdSeconds = r.Experiment.ColdSeconds
+	}
+	for _, e := range r.Benchmarks {
+		if e.Package == "internal/pipeline" && e.Name == "BenchmarkStepHyBP" {
+			b.StepNsPerOp = e.NsPerOp
+		}
+	}
+	return b
+}
+
+// compareBaseline diffs the just-measured benchmarks against the pinned
+// report base (read from path), prints the regression table, and returns
+// how many benchmarks regressed more than regressThresholdPct in ns/op.
+func compareBaseline(path string, base report, cur []benchEntry) (int, error) {
 	if len(base.Benchmarks) == 0 {
 		return 0, fmt.Errorf("%s has no benchmarks to compare against", path)
 	}

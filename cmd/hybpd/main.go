@@ -12,14 +12,12 @@
 //	GET  /v1/jobs             list jobs
 //	GET  /v1/jobs/{id}        job status + result
 //	GET  /v1/jobs/{id}/events SSE progress stream
-//	GET  /metrics             expvar counters + latency histogram
+//	GET  /metrics             server, harness and journal counters (JSON)
+//	GET  /metrics.prom        Prometheus exposition, job-latency histogram
 //	GET  /healthz, /readyz    probes (readyz goes 503 while draining)
 //
-// With -cluster the daemon is also a coordinator for hybpworker processes
-// (see internal/cluster): sim points are served over the work API —
-// POST /v1/cluster/workers, /v1/work/lease, /v1/work/{key}/heartbeat,
-// /v1/work/{key}/result, GET /v1/cluster — and execute remotely when
-// workers are registered, in-process otherwise.
+// Distributed sweeps are coordinated by hybpexp -worklisten (see
+// internal/cluster and cmd/hybpworker).
 //
 // With -journal DIR every job state transition and SSE event is durably
 // journaled (fsynced) before it is acknowledged or streamed. A restart on
@@ -58,7 +56,6 @@ import (
 	"syscall"
 	"time"
 
-	"hybp/internal/cluster"
 	"hybp/internal/faults"
 	"hybp/internal/obs"
 	"hybp/internal/server"
@@ -81,8 +78,6 @@ func main() {
 		debug     = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (opt-in: profiling endpoints stay off production surfaces by default)")
 		shed      = flag.Int("shed", 0, "queue depth at which experiment jobs shed with 429 while sim points still admit (0 = 3/4 of -queue, negative disables)")
 		faultSpec = flag.String("faults", "", "deterministic fault-injection spec for chaos testing, e.g. seed=7,exec.panic=0.05,stream.drop=0.2")
-		clusterOn = flag.Bool("cluster", false, "serve the distributed work API: hybpworker processes lease sim points; jobs still run in-process while no workers are registered")
-		leaseTTL  = flag.Duration("leasettl", 15*time.Second, "work-item lease TTL before crash reassignment (with -cluster)")
 		sseHB     = flag.Duration("sseheartbeat", 15*time.Second, "SSE keepalive ping interval")
 		logJSON   = flag.Bool("logjson", false, "emit structured JSON log lines (job id, key, trace/span ids as fields)")
 		traceBuf  = flag.Int("tracebuf", obs.DefaultRingSize, "span ring capacity for GET /debug/trace (0 disables tracing)")
@@ -103,14 +98,6 @@ func main() {
 	if *traceBuf > 0 {
 		tracer = obs.NewTracer("hybpd", *traceBuf)
 	}
-	var coord *cluster.Coordinator
-	if *clusterOn {
-		coord = cluster.NewCoordinator(cluster.Options{
-			LeaseTTL: *leaseTTL,
-			Tracer:   tracer,
-			Logf:     slogf(jobLog.With("subsys", "cluster")),
-		})
-	}
 	s, err := server.New(server.Config{
 		QueueSize:           *queue,
 		Workers:             *workers,
@@ -123,7 +110,6 @@ func main() {
 		SSEHeartbeat:        *sseHB,
 		ShedThreshold:       *shed,
 		Faults:              inj,
-		Coordinator:         coord,
 		Log:                 jobLog,
 		Tracer:              tracer,
 	})
@@ -188,10 +174,6 @@ func main() {
 		}
 	}()
 
-	mode := "standalone"
-	if *clusterOn {
-		mode = fmt.Sprintf("coordinator (lease %s)", *leaseTTL)
-	}
 	// Listen explicitly so the resolved address (port 0 included) can be
 	// logged before serving — restart tooling and the journal smoke test
 	// grep for this line.
@@ -201,7 +183,7 @@ func main() {
 		os.Exit(1)
 	}
 	logger.Info("listening", "addr", ln.Addr().String(), "queue", *queue, "simworkers", *jobs,
-		"cachedir", *cacheDir, "journal", *journal, "mode", mode)
+		"cachedir", *cacheDir, "journal", *journal)
 	if err := httpSrv.Serve(ln); err != nil && err != http.ErrServerClosed {
 		fmt.Fprintf(os.Stderr, "hybpd: %v\n", err)
 		os.Exit(1)
@@ -218,14 +200,6 @@ func newLogger(jsonLines bool) *slog.Logger {
 		return slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	}
 	return slog.New(slog.NewTextHandler(os.Stderr, nil))
-}
-
-// slogf adapts a slog.Logger to the printf-style Logf hooks the cluster
-// package keeps for test-friendliness.
-func slogf(l *slog.Logger) func(string, ...any) {
-	return func(format string, args ...any) {
-		l.Info(fmt.Sprintf(format, args...))
-	}
 }
 
 // withRequestTimeout bounds every non-streaming request; the SSE endpoint

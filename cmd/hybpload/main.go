@@ -27,7 +27,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hybp/internal/cluster"
 	"hybp/internal/harness"
 	"hybp/internal/obs"
 	"hybp/internal/server"
@@ -176,22 +175,6 @@ func main() {
 		sd.JobsDeduped-before.Server.JobsDeduped, dedups.Load())
 	fmt.Printf("harness this run: %d sim jobs submitted, %d deduped, %d executed, %d disk-cache hits\n",
 		hd.Submitted, hd.Deduped, hd.Executed, hd.DiskHits)
-	if after.Cluster != nil {
-		ct := after.Cluster.Totals
-		var bt cluster.Totals
-		if before.Cluster != nil {
-			bt = before.Cluster.Totals
-		}
-		live := 0
-		for _, w := range after.Cluster.Workers {
-			if w.Live {
-				live++
-			}
-		}
-		fmt.Printf("cluster this run: %d workers live, %d points executed remotely, %d leases expired, %d reassigned, %d duplicate uploads, %d local fallbacks\n",
-			live, hd.Remote, ct.Expired-bt.Expired, ct.Reassigned-bt.Reassigned,
-			ct.Duplicates-bt.Duplicates, ct.LocalFallback-bt.LocalFallback)
-	}
 	if hd.Retries+hd.Panics+hd.Quarantines+hd.Failed > 0 {
 		fmt.Printf("harness healing this run: %d retries, %d panics recovered, %d cache quarantines, %d jobs failed\n",
 			hd.Retries, hd.Panics, hd.Quarantines, hd.Failed)
@@ -323,7 +306,6 @@ func delta(before, after harness.Stats) harness.Stats {
 		Deduped:         after.Deduped - before.Deduped,
 		Executed:        after.Executed - before.Executed,
 		DiskHits:        after.DiskHits - before.DiskHits,
-		Remote:          after.Remote - before.Remote,
 		Completed:       after.Completed - before.Completed,
 		Retries:         after.Retries - before.Retries,
 		Panics:          after.Panics - before.Panics,

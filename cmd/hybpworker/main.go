@@ -1,8 +1,8 @@
 // Command hybpworker executes simulation points for a cluster coordinator
-// (hybpd -cluster, or hybpexp -worklisten). It registers over the work
-// API, leases batches of content-addressed sim points, runs them through a
-// local harness.Runner — inheriting retries, panic recovery, and the
-// -cachedir disk cache — and uploads FNV-1a-checksummed result JSON.
+// (hybpexp -worklisten). It registers over the work API, leases batches of
+// content-addressed sim points, runs them through a local harness.Runner —
+// inheriting retries, panic recovery, and the -cachedir disk cache — and
+// uploads FNV-1a-checksummed result JSON.
 // Results are pure functions of the leased spec, so any number of workers
 // (and any crash/reassignment history) produces output bit-identical to a
 // local run.
@@ -15,8 +15,8 @@
 //
 // Example:
 //
-//	hybpd -addr :8080 -cluster &
-//	hybpworker -coordinator http://127.0.0.1:8080 -j 8 -cachedir /var/cache/hybp
+//	hybpexp -scale quick -worklisten :9090 -minworkers 1 all &
+//	hybpworker -coordinator http://127.0.0.1:9090 -j 8 -cachedir /var/cache/hybp
 package main
 
 import (

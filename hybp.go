@@ -13,8 +13,9 @@
 //   - Simulate runs the calibrated front-end timing model over synthetic
 //     SPEC CPU2017-like workloads, with SMT-2, context switching, and
 //     privilege transitions.
-//   - The Table*/Fig* functions regenerate every table and figure of the
-//     paper's evaluation (see DESIGN.md §3 and EXPERIMENTS.md).
+//   - HardwareCost accounts the storage of each mechanism (§VII-D); the
+//     paper's tables and figures are regenerated by cmd/hybpexp (see
+//     DESIGN.md §3 and EXPERIMENTS.md).
 //   - NewAttackHarness/PPP/GEM and the *TrainingPoC functions reproduce
 //     the Section VI security analysis and the Section VI-D
 //     proof-of-concept attacks.
@@ -247,46 +248,6 @@ func RecordTrace(w *TraceWriter, src EventSource, n int) error { return trace.Re
 
 // NewGenerator builds the live synthetic source for a benchmark profile.
 func NewGenerator(p workload.Profile, seed uint64) EventSource { return workload.New(p, seed) }
-
-// ---------------------------------------------------------------------------
-// Experiments (one per paper table/figure; see DESIGN.md §3).
-// ---------------------------------------------------------------------------
-
-// Experiment scale presets and the per-table/figure drivers.
-type (
-	// Scale sets experiment fidelity.
-	Scale = sim.Scale
-	// Table1Result, Fig2Result, ... hold each experiment's rows.
-	Table1Result     = sim.Table1Result
-	Fig2Result       = sim.Fig2Result
-	Fig5Result       = sim.Fig5Result
-	Fig6Result       = sim.Fig6Result
-	Fig7Result       = sim.Fig7Result
-	Fig8Result       = sim.Fig8Result
-	Table6Result     = sim.Table6Result
-	Table3Result     = sim.Table3Result
-	TournamentResult = sim.TournamentResult
-)
-
-// Scale presets.
-var (
-	QuickScale  = sim.Quick
-	MediumScale = sim.Medium
-	FullScale   = sim.Full
-)
-
-// Experiment drivers (nil/empty arguments select the paper's defaults).
-func Table1(sc Scale) Table1Result { return sim.Table1(sc, nil, nil) }
-func Fig2(sc Scale) Fig2Result     { return sim.Fig2(sc, nil) }
-func Fig5(sc Scale) Fig5Result     { return sim.Fig5(sc, nil) }
-func Fig6(sc Scale) Fig6Result     { return sim.Fig6(sc, nil) }
-func Fig7(sc Scale) Fig7Result     { return sim.Fig7(sc, nil) }
-func Fig8(sc Scale) Fig8Result     { return sim.Fig8(sc, nil, nil) }
-func Table6(sc Scale) Table6Result { return sim.Table6(sc, nil, nil) }
-func Table3(iters int, seed uint64) Table3Result {
-	return sim.Table3(sim.Table3Config{Iterations: iters, Seed: seed})
-}
-func TournamentComparison(sc Scale) TournamentResult { return sim.Tournament(sc, nil) }
 
 // ---------------------------------------------------------------------------
 // Attacks (Section VI).

@@ -154,7 +154,7 @@ type Totals struct {
 }
 
 // MetricsSnapshot is the coordinator's observable state, served at
-// GET /v1/cluster and embedded in hybpd's /metrics.
+// GET /v1/cluster and in hybpexp -stats output.
 type MetricsSnapshot struct {
 	Workers []WorkerCounters `json:"workers"`
 	Totals  Totals           `json:"totals"`

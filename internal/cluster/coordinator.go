@@ -85,7 +85,6 @@ type workItem struct {
 	state    int
 	lessee   string    // worker id while leased
 	deadline time.Time // lease expiry while leased
-	leasedAt time.Time // when the current lease was granted
 	assigns  int       // times handed out (>1 ⇒ reassigned)
 
 	payload json.RawMessage // result bytes, exactly as uploaded
@@ -114,11 +113,6 @@ func (w *workerState) live(now time.Time, ttl time.Duration) bool {
 // worker resolves the item — or declines so the harness runs it locally.
 type Coordinator struct {
 	opts Options
-	// leaseAge is the grant→resolution (or expiry) distribution in
-	// milliseconds — always collected, since the histogram is atomic and
-	// lease events are rare next to simulation work. hybpd registers it on
-	// its metrics registry; hybpexp leaves it unexported-but-warm.
-	leaseAge *obs.Histogram
 
 	mu      sync.Mutex
 	items   map[string]*workItem
@@ -137,13 +131,12 @@ type Coordinator struct {
 // NewCoordinator builds a Coordinator and starts its janitor.
 func NewCoordinator(opts Options) *Coordinator {
 	c := &Coordinator{
-		opts:     opts.withDefaults(),
-		leaseAge: obs.NewHistogram(LeaseAgeBoundsMS),
-		items:    make(map[string]*workItem),
-		workers:  make(map[string]*workerState),
-		ready:    make(chan struct{}),
-		workCh:   make(chan struct{}, 1),
-		closed:   make(chan struct{}),
+		opts:    opts.withDefaults(),
+		items:   make(map[string]*workItem),
+		workers: make(map[string]*workerState),
+		ready:   make(chan struct{}),
+		workCh:  make(chan struct{}, 1),
+		closed:  make(chan struct{}),
 	}
 	if c.opts.MinWorkers <= 0 {
 		c.readyOnce.Do(func() { close(c.ready) })
@@ -151,15 +144,6 @@ func NewCoordinator(opts Options) *Coordinator {
 	go c.janitor()
 	return c
 }
-
-// LeaseAgeBoundsMS buckets the lease-age histogram: grant→resolution
-// times from sub-second healthy leases up to multi-minute stalls.
-var LeaseAgeBoundsMS = []float64{10, 25, 50, 100, 250, 500, 1000, 2500, 5000, 10_000, 30_000, 60_000, 300_000}
-
-// LeaseAge returns the coordinator's lease-age histogram (milliseconds
-// from lease grant to result acceptance or expiry), for registration on a
-// metrics registry.
-func (c *Coordinator) LeaseAge() *obs.Histogram { return c.leaseAge }
 
 // Close stops the janitor and releases every Execute waiter to local
 // execution. Idempotent.
@@ -275,15 +259,6 @@ func (c *Coordinator) noteFallback() {
 	c.mu.Unlock()
 }
 
-// observeLeaseAge feeds the lease-age histogram when the item's current
-// lease ends — by result acceptance, terminal failure, or expiry.
-func (c *Coordinator) observeLeaseAge(it *workItem, now time.Time) {
-	if it.leasedAt.IsZero() {
-		return
-	}
-	c.leaseAge.Observe(float64(now.Sub(it.leasedAt)) / float64(time.Millisecond))
-}
-
 // janitor periodically expires stale leases (requeueing their items) and,
 // if the whole fleet has gone silent, abandons outstanding items back to
 // local execution so a run never hangs on dead workers.
@@ -324,7 +299,6 @@ func (c *Coordinator) sweep(now time.Time) {
 				w.expired++
 			}
 			c.totals.Expired++
-			c.observeLeaseAge(it, now)
 			c.opts.Logf("cluster: lease expired on %s (worker %s); requeueing", it.key, it.lessee)
 			it.state = statePending
 			it.lessee = ""
@@ -522,7 +496,6 @@ func (c *Coordinator) tryLease(w http.ResponseWriter, req LeaseRequest) ([]WorkI
 		it.state = stateLeased
 		it.lessee = ws.id
 		it.deadline = now.Add(c.opts.LeaseTTL)
-		it.leasedAt = now
 		it.assigns++
 		reassigned := it.assigns > 1
 		if reassigned {
@@ -626,7 +599,6 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		}
 		c.totals.Completed++
 	}
-	c.observeLeaseAge(it, time.Now())
 	// First acceptance only — duplicate uploads returned above, so a raced
 	// lease can't double-ingest the same worker spans.
 	c.opts.Tracer.Ingest(req.Spans)

@@ -138,33 +138,3 @@ func TestDistributedTraceParenting(t *testing.T) {
 		}
 	}
 }
-
-// TestLeaseAgeHistogram: resolving leases must feed the coordinator's
-// shared obs.Histogram.
-func TestLeaseAgeHistogram(t *testing.T) {
-	coord, srv := newTestCoord(t, Options{LeaseTTL: 5 * time.Second, MinWorkers: 1, MinWorkersWait: 30 * time.Second})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	w, err := NewWorker(WorkerOptions{
-		Coordinator: srv.URL,
-		Name:        "hist",
-		Jobs:        1,
-		Exec: func(key string, spec json.RawMessage) (json.RawMessage, error) {
-			return json.RawMessage(`{}`), nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- w.Run(ctx) }()
-
-	if _, ok, err := coord.Execute(context.Background(), "hist-job", json.RawMessage(`{}`)); !ok || err != nil {
-		t.Fatalf("Execute: ok=%v err=%v", ok, err)
-	}
-	if s := coord.LeaseAge().Snapshot(); s.Count != 1 {
-		t.Fatalf("lease-age observations = %d, want 1 (%+v)", s.Count, s)
-	}
-	cancel()
-	<-done
-}

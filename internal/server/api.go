@@ -9,8 +9,9 @@
 // results return without executing a single simulation. Production posture
 // is deliberate: a bounded admission queue that answers 429 + Retry-After
 // when full, per-job execution timeouts, graceful shutdown that drains
-// in-flight jobs, /healthz and /readyz probes, and a /metrics endpoint of
-// expvar counters plus a job-latency histogram.
+// in-flight jobs, /healthz and /readyz probes, a JSON /metrics snapshot of
+// the server, harness and journal counters, and the Prometheus exposition
+// at /metrics.prom (which carries the job-latency histogram).
 package server
 
 import (
@@ -18,7 +19,6 @@ import (
 	"fmt"
 	"strings"
 
-	"hybp/internal/cluster"
 	"hybp/internal/harness"
 	"hybp/internal/sim"
 	"hybp/internal/workload"
@@ -195,12 +195,8 @@ type ErrorBody struct {
 
 // MetricsSnapshot is the body of GET /metrics.
 type MetricsSnapshot struct {
-	Server       ServerCounters  `json:"server"`
-	Harness      harness.Stats   `json:"harness"`
-	JobLatencyMS LatencySnapshot `json:"job_latency_ms"`
-	// Cluster is present only when the server runs as a coordinator:
-	// per-worker lease/completion counters and queue state.
-	Cluster *cluster.MetricsSnapshot `json:"cluster,omitempty"`
+	Server  ServerCounters `json:"server"`
+	Harness harness.Stats  `json:"harness"`
 	// Journal is present only when the server runs with -journal: write-
 	// ahead-log counters plus what the last boot's recovery replayed.
 	Journal *JournalSnapshot `json:"journal,omitempty"`
@@ -268,21 +264,6 @@ type RecoveryInfo struct {
 	// Dropped jobs had journal records too damaged to act on (no request
 	// left to re-run, or no intact events); clients must resubmit those.
 	Dropped int `json:"dropped"`
-}
-
-// LatencySnapshot is a cumulative (Prometheus-style) histogram of job
-// submit→finish latency in milliseconds.
-type LatencySnapshot struct {
-	Count   int64           `json:"count"`
-	SumMS   float64         `json:"sum_ms"`
-	Buckets []LatencyBucket `json:"buckets"`
-}
-
-// LatencyBucket is one cumulative histogram bucket; LE is the upper bound
-// in milliseconds, "+Inf" for the overflow bucket.
-type LatencyBucket struct {
-	LE    string `json:"le"`
-	Count int64  `json:"count"`
 }
 
 // normalize validates req, fills every defaulted field, and returns the

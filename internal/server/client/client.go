@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hybp/internal/cluster"
 	"hybp/internal/obs"
 	"hybp/internal/server"
 )
@@ -44,9 +43,6 @@ type Client struct {
 	MaxRetries int
 	RetryBase  time.Duration
 	RetryMax   time.Duration
-	// Retry429 is the deprecated spelling of MaxRetries, honored when
-	// MaxRetries is zero so existing callers keep their configuration.
-	Retry429 int
 	// PollInterval paces Wait's polling fallback (default 200ms).
 	PollInterval time.Duration
 	// Counters, when non-nil, tallies retries by failure class — the load
@@ -177,9 +173,6 @@ func (c *Client) maxRetries() int {
 	if c.MaxRetries > 0 {
 		return c.MaxRetries
 	}
-	if c.Retry429 > 0 {
-		return c.Retry429
-	}
 	return 8
 }
 
@@ -297,15 +290,6 @@ func (c *Client) Metrics(ctx context.Context) (server.MetricsSnapshot, error) {
 // Ready probes /readyz.
 func (c *Client) Ready(ctx context.Context) error {
 	return c.getJSON(ctx, "/readyz", nil)
-}
-
-// Cluster fetches the coordinator's work-API metrics: per-worker lease,
-// completion, expiry, and reassignment counters. A server not running as
-// a coordinator answers 404.
-func (c *Client) Cluster(ctx context.Context) (cluster.MetricsSnapshot, error) {
-	var m cluster.MetricsSnapshot
-	err := c.getJSON(ctx, "/v1/cluster", &m)
-	return m, err
 }
 
 // getJSON GETs path with the full retry policy — GETs are idempotent, so

@@ -1,9 +1,6 @@
 package server
 
 import (
-	"fmt"
-
-	"hybp/internal/cluster"
 	"hybp/internal/journal"
 	"hybp/internal/obs"
 	"hybp/internal/pipeline"
@@ -29,8 +26,8 @@ var fsyncBoundsMS = []float64{
 }
 
 // metrics is the server's observability state, hosted on an obs.Registry
-// so one set of instruments serves both the legacy JSON /metrics snapshot
-// and the Prometheus text exposition at /metrics.prom. The registry is
+// so one set of instruments serves both the JSON /metrics snapshot and
+// the Prometheus text exposition at /metrics.prom. The registry is
 // per-Server (a process-global one would collide across httptest
 // instances).
 type metrics struct {
@@ -77,15 +74,14 @@ func newMetrics() *metrics {
 }
 
 // registerDerived adds the scrape-time instruments that read state owned
-// elsewhere: harness counters, queue depth, simulated cycles, and — when
-// the server coordinates a cluster — the cluster totals and lease-age
-// distribution. Called once from New after the harness exists.
+// elsewhere: harness counters, queue depth, simulated cycles, and the
+// journal's counters when one is live. Called once from New after the
+// harness exists.
 func (m *metrics) registerDerived(s *Server) {
 	m.reg.CounterFunc("hybp_harness_submitted_total", "harness job submissions", func() uint64 { return s.har.Stats().Submitted })
 	m.reg.CounterFunc("hybp_harness_deduped_total", "harness submissions deduped on the content key", func() uint64 { return s.har.Stats().Deduped })
 	m.reg.CounterFunc("hybp_harness_executed_total", "jobs computed locally", func() uint64 { return s.har.Stats().Executed })
 	m.reg.CounterFunc("hybp_cache_disk_hits_total", "jobs satisfied from the on-disk result cache", func() uint64 { return s.har.Stats().DiskHits })
-	m.reg.CounterFunc("hybp_harness_remote_total", "jobs resolved by remote cluster workers", func() uint64 { return s.har.Stats().Remote })
 	m.reg.CounterFunc("hybp_retry_total", "job re-executions after transient failures", func() uint64 { return s.har.Stats().Retries })
 	m.reg.CounterFunc("hybp_retry_budget_left", "remaining per-run retry budget", func() uint64 { return s.har.Stats().RetryBudgetLeft })
 	m.reg.CounterFunc("hybp_harness_panics_recovered_total", "worker panics recovered into typed errors", func() uint64 { return s.har.Stats().Panics })
@@ -112,53 +108,9 @@ func (m *metrics) registerDerived(s *Server) {
 		m.reg.GaugeFunc("hybp_journal_recovered_jobs", "jobs rebuilt from the journal at startup", func() int64 { return int64(s.recovery.RecoveredJobs) })
 		m.reg.Histogram("hybp_journal_fsync_ms", "journal fsync latency in milliseconds", m.jnFsync)
 	}
-
-	if c := s.cfg.Coordinator; c != nil {
-		totals := func(read func(cluster.Totals) uint64) func() uint64 {
-			return func() uint64 { return read(c.Metrics().Totals) }
-		}
-		m.reg.CounterFunc("hybp_cluster_leased_total", "work items handed to workers", totals(func(t cluster.Totals) uint64 { return t.Leased }))
-		m.reg.CounterFunc("hybp_cluster_completed_total", "accepted result uploads", totals(func(t cluster.Totals) uint64 { return t.Completed }))
-		m.reg.CounterFunc("hybp_cluster_expired_total", "leases reclaimed by the janitor", totals(func(t cluster.Totals) uint64 { return t.Expired }))
-		m.reg.CounterFunc("hybp_cluster_reassigned_total", "items re-leased after expiry", totals(func(t cluster.Totals) uint64 { return t.Reassigned }))
-		m.reg.CounterFunc("hybp_cluster_duplicates_total", "uploads for already-resolved items", totals(func(t cluster.Totals) uint64 { return t.Duplicates }))
-		m.reg.CounterFunc("hybp_cluster_failed_total", "terminal worker-side failures", totals(func(t cluster.Totals) uint64 { return t.Failed }))
-		m.reg.CounterFunc("hybp_cluster_rejected_total", "uploads refused for checksum mismatch", totals(func(t cluster.Totals) uint64 { return t.Rejected }))
-		m.reg.CounterFunc("hybp_cluster_local_fallback_total", "offers declined back to local execution", totals(func(t cluster.Totals) uint64 { return t.LocalFallback }))
-		m.reg.GaugeFunc("hybp_cluster_workers_live", "workers currently considered live", func() int64 {
-			n := int64(0)
-			for _, w := range c.Metrics().Workers {
-				if w.Live {
-					n++
-				}
-			}
-			return n
-		})
-		m.reg.Histogram("hybp_cluster_lease_age_ms", "lease grant-to-resolution age in milliseconds", c.LeaseAge())
-	}
 }
 
 // observeLatency records one job's submit→finish latency.
 func (m *metrics) observeLatency(ms int64) {
 	m.latency.Observe(float64(ms))
-}
-
-// latencySnapshot renders the shared histogram in the legacy JSON shape
-// /metrics has always served (cumulative buckets, "%g"-formatted bounds).
-func (m *metrics) latencySnapshot() LatencySnapshot {
-	s := m.latency.Snapshot()
-	snap := LatencySnapshot{
-		Count:   int64(s.Count),
-		SumMS:   s.Sum,
-		Buckets: make([]LatencyBucket, 0, len(s.Cumulative)),
-	}
-	for i, le := range s.Bounds {
-		snap.Buckets = append(snap.Buckets, LatencyBucket{LE: fmt.Sprintf("%g", le), Count: int64(s.Cumulative[i])})
-	}
-	total := int64(0)
-	if n := len(s.Cumulative); n > 0 {
-		total = int64(s.Cumulative[n-1])
-	}
-	snap.Buckets = append(snap.Buckets, LatencyBucket{LE: "+Inf", Count: total})
-	return snap
 }

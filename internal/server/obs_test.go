@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -49,15 +50,40 @@ func TestMetricsProm(t *testing.T) {
 		}
 	}
 	// Every non-comment line must be "name[{labels}] value".
+	var latency []string
 	sc := bufio.NewScanner(strings.NewReader(text))
 	for sc.Scan() {
 		line := sc.Text()
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		if fields := strings.Fields(line); len(fields) != 2 {
+		fields := strings.Fields(line)
+		if len(fields) != 2 {
 			t.Errorf("malformed sample line %q", line)
+			continue
 		}
+		if strings.HasPrefix(fields[0], "hybp_job_latency_ms_bucket{") {
+			latency = append(latency, line)
+		}
+	}
+	// The latency buckets are cumulative: counts never decrease, and the
+	// last one is the +Inf bucket holding every observation.
+	if len(latency) < 2 {
+		t.Fatalf("latency histogram has %d buckets, want several", len(latency))
+	}
+	prev := 0.0
+	for _, line := range latency {
+		n, err := strconv.ParseFloat(strings.Fields(line)[1], 64)
+		if err != nil {
+			t.Fatalf("bucket %q: %v", line, err)
+		}
+		if n < prev {
+			t.Fatalf("bucket counts not cumulative: %q", latency)
+		}
+		prev = n
+	}
+	if last := latency[len(latency)-1]; !strings.Contains(last, `le="+Inf"`) || prev != 1 {
+		t.Fatalf("last latency bucket %q, want +Inf with count 1", last)
 	}
 }
 

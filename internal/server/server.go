@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"hybp/internal/cluster"
 	"hybp/internal/faults"
 	"hybp/internal/harness"
 	"hybp/internal/journal"
@@ -50,16 +49,16 @@ type Config struct {
 	// ProgressInterval paces SSE progress events (default 1s).
 	ProgressInterval time.Duration
 	// SSEHeartbeat paces the comment pings that keep idle SSE streams
-	// alive through proxies (default 15s). Tests and the cluster work API
-	// lower it so liveness signals don't cost wall-clock seconds.
+	// alive through proxies (default 15s). Tests lower it so liveness
+	// signals don't cost wall-clock seconds.
 	SSEHeartbeat time.Duration
 	// Log, when set, receives structured admission/completion/panic
 	// records (job id, key, trace ids as attrs). Silent by default.
 	Log *slog.Logger
 	// Tracer, when non-nil, records spans for request handling, SSE
-	// sessions, and job execution, and is shared with the harness and
-	// coordinator so the daemon's whole pipeline lands in one ring —
-	// served as a Chrome trace at GET /debug/trace. nil is free.
+	// sessions, and job execution, and is shared with the harness so the
+	// daemon's whole pipeline lands in one ring — served as a Chrome trace
+	// at GET /debug/trace. nil is free.
 	Tracer *obs.Tracer
 	// ShedThreshold is the queue depth at which whole-experiment jobs are
 	// rejected early with 429 while cheap single-point jobs still admit —
@@ -69,12 +68,6 @@ type Config struct {
 	// Faults, when non-nil, injects deterministic faults into the harness
 	// (cache, worker execution) and the SSE streams (chaos testing only).
 	Faults *faults.Injector
-	// Coordinator, when non-nil, makes this server a cluster coordinator:
-	// its work API is mounted on the same mux, every spec-carrying harness
-	// job is offered to registered hybpworker processes, and /metrics
-	// grows a cluster section. Jobs still execute in-process whenever no
-	// workers are registered.
-	Coordinator *cluster.Coordinator
 
 	// execOverride replaces job execution in tests.
 	execOverride func(j *Job) (any, error)
@@ -143,17 +136,13 @@ func New(cfg Config) (*Server, error) {
 		cfg.ShedThreshold = max(1, cfg.QueueSize*3/4)
 	}
 	met := newMetrics()
-	hopts := harness.Options{
+	har, err := harness.New(harness.Options{
 		Workers:  cfg.HarnessWorkers,
 		CacheDir: cfg.CacheDir,
 		Faults:   cfg.Faults,
 		Tracer:   cfg.Tracer,
 		ExecHist: met.execTime,
-	}
-	if cfg.Coordinator != nil {
-		hopts.Remote = cfg.Coordinator
-	}
-	har, err := harness.New(hopts)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
@@ -288,13 +277,7 @@ func (s *Server) Metrics() MetricsSnapshot {
 	s.mu.Lock()
 	draining := s.draining
 	s.mu.Unlock()
-	var clu *cluster.MetricsSnapshot
-	if s.cfg.Coordinator != nil {
-		snap := s.cfg.Coordinator.Metrics()
-		clu = &snap
-	}
 	return MetricsSnapshot{
-		Cluster: clu,
 		Journal: s.journalSnapshot(),
 		Server: ServerCounters{
 			JobsSubmitted:   int64(s.met.submitted.Value()),
@@ -310,7 +293,6 @@ func (s *Server) Metrics() MetricsSnapshot {
 			Draining:        draining,
 		},
 		Harness:         s.har.Stats(),
-		JobLatencyMS:    s.met.latencySnapshot(),
 		SimulatedCycles: pipeline.TotalSimulatedCycles(),
 	}
 }
@@ -336,9 +318,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	select {
 	case <-done:
 		s.har.Close()
-		if s.cfg.Coordinator != nil {
-			s.cfg.Coordinator.Close()
-		}
 		if err := s.jn.Close(); err != nil {
 			s.cfg.Log.Error("journal close failed", "err", err)
 		}
@@ -368,9 +347,6 @@ func (s *Server) routes() *http.ServeMux {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
 	})
-	if s.cfg.Coordinator != nil {
-		s.cfg.Coordinator.Mount(mux)
-	}
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
 		s.mu.Lock()
 		draining := s.draining

@@ -293,21 +293,6 @@ func TestMetricsAndHealth(t *testing.T) {
 	if m.Server.JobsSubmitted != 1 || m.Server.JobsCompleted != 1 || m.Server.QueueCapacity != 7 {
 		t.Fatalf("metrics = %+v", m.Server)
 	}
-	if m.JobLatencyMS.Count != 1 {
-		t.Fatalf("latency count = %d", m.JobLatencyMS.Count)
-	}
-	last := m.JobLatencyMS.Buckets[len(m.JobLatencyMS.Buckets)-1]
-	if last.LE != "+Inf" || last.Count != 1 {
-		t.Fatalf("+Inf bucket = %+v", last)
-	}
-	// Buckets are cumulative: counts never decrease.
-	prev := int64(0)
-	for _, b := range m.JobLatencyMS.Buckets {
-		if b.Count < prev {
-			t.Fatalf("bucket counts not cumulative: %+v", m.JobLatencyMS.Buckets)
-		}
-		prev = b.Count
-	}
 	for _, probe := range []string{"/healthz", "/readyz"} {
 		resp, err := http.Get(ts.URL + probe)
 		if err != nil {
@@ -524,5 +509,39 @@ func TestSSEInjectedDropResumes(t *testing.T) {
 		if seq != i {
 			t.Fatalf("event sequence has a gap or repeat at %d: %v", i, seqs)
 		}
+	}
+}
+
+// TestSSEHeartbeatConfigurable proves the heartbeat pace is a Config
+// field, not a constant: at 20ms a short-lived stream sees pings that the
+// 15s default could never produce.
+func TestSSEHeartbeatConfigurable(t *testing.T) {
+	release := make(chan struct{})
+	_, ts := testServer(t, Config{SSEHeartbeat: 20 * time.Millisecond}, func(*Job) (any, error) {
+		<-release
+		return "ok", nil
+	})
+	_, _, ji := postJob(t, ts, `{"sim":{"bench":"gcc"}}`)
+
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + ji.ID + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	// Let a few heartbeat intervals elapse on the idle stream, then
+	// finish the job so the stream terminates.
+	go func() {
+		time.Sleep(150 * time.Millisecond)
+		close(release)
+	}()
+	pings := 0
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if strings.HasPrefix(sc.Text(), ": ping") {
+			pings++
+		}
+	}
+	if pings < 2 {
+		t.Fatalf("saw %d heartbeat pings on an idle 150ms stream at 20ms pace, want >= 2", pings)
 	}
 }

@@ -18,13 +18,6 @@ type BRBResult struct {
 	HyBPOverheadKB, BRBOverheadKB float64
 }
 
-// BRBComparison runs the comparison on a private runner.
-func BRBComparison(sc Scale, benches []string) BRBResult {
-	r := NewDefaultRunner()
-	defer r.Close()
-	return r.BRBComparison(sc, benches)
-}
-
 // BRBComparison measures both mechanisms on single-thread context-switch
 // workloads at the default interval and accounts their storage. The
 // baseline points are shared with Table I and Figure 6 through the cache.

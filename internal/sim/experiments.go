@@ -16,10 +16,9 @@ import (
 // enumerate all simulation points as jobs (Runner.Single/SMT/Solo return
 // futures immediately; duplicates — e.g. the baseline runs shared between
 // Table I, Figure 6, and the BRB comparison — coalesce onto one job), then
-// collect results in deterministic enumeration order. The package-level
-// functions are convenience wrappers running on a private pool; callers
-// that run several experiments (cmd/hybpexp) share one Runner so common
-// points are simulated once.
+// collect results in deterministic enumeration order. Callers that run
+// several experiments (cmd/hybpexp) share one Runner so common points are
+// simulated once.
 
 // ---------------------------------------------------------------------------
 // Table I — comparison of security mechanisms.
@@ -37,13 +36,6 @@ type Table1Row struct {
 // Table1Result is the full table.
 type Table1Result struct {
 	Rows []Table1Row
-}
-
-// Table1 regenerates the paper's Table I on a private runner.
-func Table1(sc Scale, benches []string, mixes []workload.Mix) Table1Result {
-	r := NewDefaultRunner()
-	defer r.Close()
-	return r.Table1(sc, benches, mixes)
 }
 
 // Table1 regenerates the paper's Table I: single-thread average degradation
@@ -157,13 +149,6 @@ type Fig2Result struct {
 	Avg    map[int]float64
 }
 
-// Fig2 regenerates Figure 2 on a private runner.
-func Fig2(sc Scale, benches []string) Fig2Result {
-	r := NewDefaultRunner()
-	defer r.Close()
-	return r.Fig2(sc, benches)
-}
-
 // Fig2 regenerates Figure 2: IPC loss when the front-end pipeline grows by
 // 2, 4, and 8 cycles (inline encryption latency) on a single-threaded core.
 func (r *Runner) Fig2(sc Scale, benches []string) Fig2Result {
@@ -237,13 +222,6 @@ type Fig5Result struct {
 	Intervals []uint64
 	Rows      []Fig5Row
 	Avg       map[uint64]float64
-}
-
-// Fig5 regenerates Figure 5 on a private runner.
-func Fig5(sc Scale, benches []string) Fig5Result {
-	r := NewDefaultRunner()
-	defer r.Close()
-	return r.Fig5(sc, benches)
 }
 
 // Fig5 regenerates Figure 5: normalized IPC of HyBP per application under
@@ -339,13 +317,6 @@ type Fig6Result struct {
 	Points []Fig6Point
 }
 
-// Fig6 regenerates Figure 6 on a private runner.
-func Fig6(sc Scale, benches []string) Fig6Result {
-	r := NewDefaultRunner()
-	defer r.Close()
-	return r.Fig6(sc, benches)
-}
-
 // Fig6 regenerates Figure 6: average single-thread degradation of HyBP,
 // Flush (split into context-switch and privilege-change components), and
 // Partition across context-switch intervals.
@@ -422,13 +393,6 @@ type Fig7Result struct {
 	Rows  []Fig7Row
 	AvgT  map[MechanismID]float64
 	AvgH  map[MechanismID]float64
-}
-
-// Fig7 regenerates Figure 7 on a private runner.
-func Fig7(sc Scale, mixes []workload.Mix) Fig7Result {
-	r := NewDefaultRunner()
-	defer r.Close()
-	return r.Fig7(sc, mixes)
 }
 
 // Fig7 regenerates Figure 7: per-mix SMT throughput degradation (a) and
@@ -545,13 +509,6 @@ type Fig8Result struct {
 	Crossover float64 // overhead where replication first matches HyBP
 }
 
-// Fig8 regenerates Figure 8 on a private runner.
-func Fig8(sc Scale, mixes []workload.Mix, overheads []float64) Fig8Result {
-	r := NewDefaultRunner()
-	defer r.Close()
-	return r.Fig8(sc, mixes, overheads)
-}
-
 // Fig8 regenerates Figure 8: replication's performance loss as its storage
 // overhead scales from 0 to 300%, against HyBP's (loss, cost) point; the
 // paper finds the crossover near 240%.
@@ -634,13 +591,6 @@ type Table6Result struct {
 	Loss      map[uint64]map[int]float64
 }
 
-// Table6 regenerates Table VI on a private runner.
-func Table6(sc Scale, benches []string, sizes []int) Table6Result {
-	r := NewDefaultRunner()
-	defer r.Close()
-	return r.Table6(sc, benches, sizes)
-}
-
 // Table6 regenerates Table VI: HyBP overhead versus the randomized index
 // keys table size (the refresh window grows with the table, lengthening the
 // stale-key period after each context switch).
@@ -716,13 +666,6 @@ func fmtEntries(n int) string {
 type TournamentResult struct {
 	TageIPC, TournamentIPC float64
 	GainPercent            float64
-}
-
-// Tournament regenerates the Section VII-F comparison on a private runner.
-func Tournament(sc Scale, benches []string) TournamentResult {
-	r := NewDefaultRunner()
-	defer r.Close()
-	return r.Tournament(sc, benches)
 }
 
 // Tournament regenerates the Section VII-F yardstick: the IPC gain of

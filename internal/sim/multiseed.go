@@ -60,14 +60,6 @@ func Summarize(xs []float64) SeedStats {
 }
 
 // MultiSeedDegradation measures a mechanism's single-thread degradation on
-// one benchmark across n seeds at the default interval, on a private runner.
-func MultiSeedDegradation(sc Scale, bench string, id MechanismID, n int) SeedStats {
-	r := NewDefaultRunner()
-	defer r.Close()
-	return r.MultiSeedDegradation(sc, bench, id, n)
-}
-
-// MultiSeedDegradation measures a mechanism's single-thread degradation on
 // one benchmark across n seeds at the default interval. Each seed's root
 // is distinct, so its points are distinct jobs; the n seeds all run in
 // parallel on the pool.
@@ -121,12 +113,4 @@ func (m MultiSeedResult) Print(w io.Writer) {
 	for _, id := range m.Mechs {
 		fmt.Fprintf(w, "  %-12s %s %%\n", id, m.Stats[id])
 	}
-}
-
-// PrintMultiSeed writes a multi-seed comparison of the mechanisms on one
-// benchmark, on a private runner.
-func PrintMultiSeed(w io.Writer, sc Scale, bench string, n int) {
-	r := NewDefaultRunner()
-	defer r.Close()
-	r.MultiSeed(sc, bench, n).Print(w)
 }

@@ -23,7 +23,7 @@ type Runner struct {
 func NewRunner(h *harness.Runner) *Runner { return &Runner{h: h} }
 
 // NewDefaultRunner builds a Runner with NumCPU workers and an in-memory
-// cache only — what the package-level experiment wrappers use.
+// cache only: no disk cache, no remote offload, no progress reporting.
 func NewDefaultRunner() *Runner {
 	return NewRunner(harness.MustNew(harness.Options{}))
 }

@@ -11,11 +11,19 @@ import (
 // cost stays bounded.
 func quick() Scale { return Quick() }
 
+// newRunner returns a private in-memory runner closed when the test ends.
+func newRunner(t *testing.T) *Runner {
+	t.Helper()
+	r := NewDefaultRunner()
+	t.Cleanup(r.Close)
+	return r
+}
+
 func TestTable1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	res := Table1(quick(), []string{"gcc", "deepsjeng", "xz"}, workload.Mixes()[:2])
+	res := newRunner(t).Table1(quick(), []string{"gcc", "deepsjeng", "xz"}, workload.Mixes()[:2])
 	var buf bytes.Buffer
 	res.Print(&buf)
 	t.Logf("\n%s", buf.String())
@@ -61,7 +69,7 @@ func TestFig2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	res := Fig2(quick(), []string{"mcf", "namd", "deepsjeng"})
+	res := newRunner(t).Fig2(quick(), []string{"mcf", "namd", "deepsjeng"})
 	var buf bytes.Buffer
 	res.Print(&buf)
 	t.Logf("\n%s", buf.String())
@@ -92,7 +100,8 @@ func TestFig5And6Shape(t *testing.T) {
 		t.Skip("simulation experiment")
 	}
 	benches := []string{"deepsjeng", "gcc"}
-	f5 := Fig5(quick(), benches)
+	r := newRunner(t)
+	f5 := r.Fig5(quick(), benches)
 	var buf bytes.Buffer
 	f5.Print(&buf)
 	t.Logf("\n%s", buf.String())
@@ -106,7 +115,7 @@ func TestFig5And6Shape(t *testing.T) {
 		t.Errorf("HyBP normalized IPC at long interval = %.4f, want near 1", f5.Avg[long])
 	}
 
-	f6 := Fig6(quick(), benches)
+	f6 := r.Fig6(quick(), benches)
 	buf.Reset()
 	f6.Print(&buf)
 	t.Logf("\n%s", buf.String())
@@ -125,7 +134,7 @@ func TestFig7Shape(t *testing.T) {
 		t.Skip("simulation experiment")
 	}
 	mixes := []workload.Mix{workload.Mixes()[0], workload.Mixes()[6], workload.Mixes()[10]}
-	res := Fig7(quick(), mixes)
+	res := newRunner(t).Fig7(quick(), mixes)
 	var buf bytes.Buffer
 	res.Print(&buf)
 	t.Logf("\n%s", buf.String())
@@ -144,7 +153,7 @@ func TestFig8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	res := Fig8(quick(), workload.Mixes()[:1], []float64{0, 1.0, 3.0})
+	res := newRunner(t).Fig8(quick(), workload.Mixes()[:1], []float64{0, 1.0, 3.0})
 	var buf bytes.Buffer
 	res.Print(&buf)
 	t.Logf("\n%s", buf.String())
@@ -162,7 +171,7 @@ func TestTable6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	res := Table6(quick(), []string{"gcc"}, []int{1024, 32768})
+	res := newRunner(t).Table6(quick(), []string{"gcc"}, []int{1024, 32768})
 	var buf bytes.Buffer
 	res.Print(&buf)
 	t.Logf("\n%s", buf.String())
@@ -179,7 +188,7 @@ func TestTournamentGain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	res := Tournament(quick(), []string{"deepsjeng", "gcc", "xz", "exchange2"})
+	res := newRunner(t).Tournament(quick(), []string{"deepsjeng", "gcc", "xz", "exchange2"})
 	var buf bytes.Buffer
 	res.Print(&buf)
 	t.Logf("\n%s", buf.String())
@@ -247,7 +256,7 @@ func TestMultiSeedDegradation(t *testing.T) {
 	sc := quick()
 	sc.MaxCycles = 2_500_000
 	sc.WarmupCycles = 500_000
-	st := MultiSeedDegradation(sc, "gcc", MechFlush, 3)
+	st := newRunner(t).MultiSeedDegradation(sc, "gcc", MechFlush, 3)
 	if st.N != 3 {
 		t.Fatalf("n = %d", st.N)
 	}
