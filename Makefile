@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet lint build test race bench benchsmoke perfbench-build profile record serve loadtest chaos chaossmoke cluster-smoke trace-smoke journal-smoke
+.PHONY: ci fmt vet lint build test race bench benchsmoke perfbench-build profile record serve loadtest chaos chaossmoke cluster-smoke trace-smoke journal-smoke
 
-# ci is the full gate: static checks (go vet plus hybplint, the
+# ci is the full gate: static checks (gofmt, go vet plus hybplint, the
 # project-specific analyzers for nil-safe handles, determinism, atomic
 # writes, and panic-safe goroutines), build, the whole test suite, a
 # race-detector pass over the concurrent packages (the harness worker pool
@@ -15,7 +15,12 @@ GO ?= go
 # SIGKILLed mid-sweep, restarted on the same -journal) so crash recovery
 # keeps losing nothing. perfbench-build compiles the benchmark module,
 # which the root go build cannot see.
-ci: vet lint build test race benchsmoke perfbench-build chaossmoke cluster-smoke trace-smoke journal-smoke
+ci: fmt vet lint build test race benchsmoke perfbench-build chaossmoke cluster-smoke trace-smoke journal-smoke
+
+# fmt fails when any Go file in the tree, the nested perfbench module
+# included, is not gofmt-clean; it lists the offenders.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

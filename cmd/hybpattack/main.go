@@ -15,6 +15,7 @@ import (
 	"os"
 
 	"hybp"
+	"hybp/internal/sim"
 )
 
 func main() {
@@ -26,6 +27,10 @@ func main() {
 		trials = flag.Int("trials", 10, "eviction-set attack trials")
 	)
 	flag.Parse()
+	if _, err := sim.ParseMechanism(*mech); err != nil {
+		fmt.Fprintf(os.Stderr, "-mech: %v\n", err)
+		os.Exit(2)
+	}
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: hybpattack [flags] ppp|gem|blind|pht|poc|all")
 		os.Exit(2)

@@ -3,6 +3,12 @@
 // prints IPC, MPKI, prediction accuracy, and the degradation versus the
 // unprotected baseline.
 //
+// The point runs through sim.Runner.Versus, the same call a hybpd sim job
+// makes, so hybpsim and hybpd print the same numbers for the same fields.
+// Only the defaults differ: hybpsim simulates 48M cycles (8M warmup, 16M
+// switch interval), hybpd 6M (1M warmup, 2M interval). -bench2 runs an
+// SMT-2 mix; -interval 0 runs a lone thread without context switching.
+//
 // Examples:
 //
 //	hybpsim -bench deepsjeng -mech hybp -interval 16000000
@@ -13,18 +19,22 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
-	"hybp"
+	"hybp/internal/sim"
 	"hybp/internal/workload"
 )
 
 func main() {
+	ids := sim.MechanismIDs()
+	mechNames := make([]string, len(ids))
+	for i, id := range ids {
+		mechNames[i] = string(id)
+	}
 	var (
 		bench    = flag.String("bench", "gcc", "benchmark for hardware thread 0")
 		bench2   = flag.String("bench2", "", "benchmark for hardware thread 1 (enables SMT-2)")
-		mech     = flag.String("mech", "hybp", "mechanism: baseline|flush|partition|replication|hybp")
+		mech     = flag.String("mech", "hybp", "mechanism: "+strings.Join(mechNames, "|"))
 		interval = flag.Uint64("interval", 16_000_000, "context-switch interval in cycles (0 disables)")
 		cycles   = flag.Uint64("cycles", 48_000_000, "simulated cycles")
 		warmup   = flag.Uint64("warmup", 8_000_000, "warmup cycles excluded from measurement")
@@ -35,9 +45,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		names := hybp.Benchmarks()
-		sort.Strings(names)
-		fmt.Println(strings.Join(names, "\n"))
+		fmt.Println(strings.Join(workload.Names(), "\n"))
 		return
 	}
 
@@ -55,47 +63,23 @@ func main() {
 		fmt.Fprintf(os.Stderr, "-bench is required (valid: %s)\n", strings.Join(workload.Names(), ", "))
 		os.Exit(2)
 	}
-	mechID := hybp.Mechanism(*mech)
-	if !validMech(mechID) {
-		fmt.Fprintf(os.Stderr, "unknown mechanism %q for -mech (valid: %s)\n", *mech, mechList())
+	mechID, err := sim.ParseMechanism(*mech)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "-mech: %v\n", err)
 		os.Exit(2)
 	}
-
-	threads := []hybp.ThreadSpec{{
-		Workload:      hybp.Benchmark(*bench),
-		OtherWorkload: hybp.Benchmark(partner(*bench)),
-		Seed:          *seed,
-	}}
-	nThreads := 1
-	if *bench2 != "" {
-		threads = append(threads, hybp.ThreadSpec{
-			Workload:      hybp.Benchmark(*bench2),
-			OtherWorkload: hybp.Benchmark(partner(*bench2)),
-			Seed:          *seed ^ 0xF00,
-		})
-		nThreads = 2
+	m := sim.Mech(mechID)
+	if mechID == sim.MechReplication {
+		m.ReplFactor = *repl
 	}
 
-	run := func(m hybp.Mechanism) hybp.SimResult {
-		return hybp.Simulate(hybp.SimConfig{
-			Core: hybp.DefaultCoreConfig(),
-			BPU: hybp.NewBPU(hybp.Options{
-				Mechanism:           m,
-				Threads:             nThreads,
-				Seed:                *seed,
-				ReplicationOverhead: *repl,
-			}),
-			Threads:        threads,
-			SwitchInterval: *interval,
-			MaxCycles:      *cycles,
-			WarmupCycles:   *warmup,
-		})
-	}
-
-	base := run(hybp.Baseline)
-	res := base
-	if mechID != hybp.Baseline {
-		res = run(mechID)
+	r := sim.NewDefaultRunner()
+	defer r.Close()
+	sc := sim.Scale{MaxCycles: *cycles, WarmupCycles: *warmup, Seed: *seed}
+	res, base, err := r.Versus(sc, *bench, *bench2, m, *interval)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "hybpsim: %v\n", err)
+		os.Exit(1)
 	}
 
 	fmt.Printf("mechanism=%s interval=%d cycles=%d\n", mechID, *interval, *cycles)
@@ -107,29 +91,4 @@ func main() {
 	fmt.Printf("throughput: %.4f IPC (baseline %.4f, degradation %.2f%%)\n",
 		res.ThroughputIPC(), base.ThroughputIPC(),
 		100*(base.ThroughputIPC()-res.ThroughputIPC())/base.ThroughputIPC())
-}
-
-func partner(bench string) string {
-	if bench == "gcc" {
-		return "perlbench"
-	}
-	return "gcc"
-}
-
-func validMech(id hybp.Mechanism) bool {
-	for _, m := range hybp.Mechanisms() {
-		if m == id {
-			return true
-		}
-	}
-	return false
-}
-
-func mechList() string {
-	ms := hybp.Mechanisms()
-	out := make([]string, len(ms))
-	for i, m := range ms {
-		out[i] = string(m)
-	}
-	return strings.Join(out, ", ")
 }

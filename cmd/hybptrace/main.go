@@ -17,6 +17,7 @@ import (
 
 	"hybp"
 	"hybp/internal/secure"
+	"hybp/internal/sim"
 	"hybp/internal/trace"
 	"hybp/internal/workload"
 )
@@ -133,6 +134,10 @@ func replay(args []string) {
 	interval := fs.Uint64("interval", 0, "context-switch interval (0 disables)")
 	loop := fs.Bool("loop", true, "restart the trace when exhausted")
 	fs.Parse(args)
+	if _, err := sim.ParseMechanism(*mech); err != nil {
+		fmt.Fprintf(os.Stderr, "replay: -mech: %v\n", err)
+		os.Exit(2)
+	}
 	if fs.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "replay: one trace file required")
 		os.Exit(2)

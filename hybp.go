@@ -63,23 +63,21 @@ const (
 )
 
 // Mechanism selects a defense mechanism.
-type Mechanism string
+type Mechanism = sim.MechanismID
 
 // The defense mechanisms of the paper's Table I, plus BRB (Vougioukas et
 // al., HPCA 2019), the retention-buffer competitor of Sections VI/VII-E.
 const (
-	Baseline    Mechanism = "baseline"
-	Flush       Mechanism = "flush"
-	Partition   Mechanism = "partition"
-	Replication Mechanism = "replication"
-	BRB         Mechanism = "brb"
-	HyBP        Mechanism = "hybp"
+	Baseline    = sim.MechBaseline
+	Flush       = sim.MechFlush
+	Partition   = sim.MechPartition
+	Replication = sim.MechReplication
+	BRB         = sim.MechBRB
+	HyBP        = sim.MechHyBP
 )
 
 // Mechanisms lists all defense mechanisms.
-func Mechanisms() []Mechanism {
-	return []Mechanism{Baseline, Flush, Partition, Replication, BRB, HyBP}
-}
+func Mechanisms() []Mechanism { return sim.MechanismIDs() }
 
 // Options configures a BPU instance.
 type Options struct {
@@ -102,21 +100,17 @@ type Options struct {
 	// Scale uniformly shrinks or grows every table from the paper's
 	// baseline geometry (default 1.0).
 	Scale float64
-	// UseTournament swaps TAGE-SC-L for the tournament predictor on the
-	// Baseline mechanism (the Section VII-F comparison).
-	UseTournament bool
 }
 
-func (o Options) secureConfig() secure.Config {
-	threads := o.Threads
-	if threads <= 0 {
-		threads = 1
+// NewBPU builds the configured mechanism. A mechanism not in Mechanisms
+// panics.
+func NewBPU(o Options) BPU {
+	m := sim.Mech(Baseline)
+	if o.Mechanism != "" {
+		m = sim.Mech(o.Mechanism)
 	}
-	cfg := secure.Config{
-		Threads:       threads,
-		Seed:          o.Seed,
-		Scale:         o.Scale,
-		UseTournament: o.UseTournament,
+	if o.ReplicationOverhead != 0 {
+		m.ReplFactor = o.ReplicationOverhead
 	}
 	kc := keys.DefaultConfig(o.Seed)
 	if o.KeysTableEntries > 0 {
@@ -128,33 +122,7 @@ func (o Options) secureConfig() secure.Config {
 	case o.KeyChangeThreshold < 0:
 		kc.AccessThreshold = 0
 	}
-	cfg.Keys = kc
-	return cfg
-}
-
-// NewBPU builds the configured mechanism.
-func NewBPU(o Options) BPU {
-	cfg := o.secureConfig()
-	switch o.Mechanism {
-	case "", Baseline:
-		return secure.NewBaseline(cfg)
-	case Flush:
-		return secure.NewFlush(cfg)
-	case Partition:
-		return secure.NewPartition(cfg)
-	case Replication:
-		ov := o.ReplicationOverhead
-		if ov == 0 {
-			ov = 1.0
-		}
-		return secure.NewReplication(cfg, ov)
-	case BRB:
-		return secure.NewBRB(cfg)
-	case HyBP:
-		return secure.NewHyBP(cfg)
-	default:
-		panic("hybp: unknown mechanism " + string(o.Mechanism))
-	}
+	return m.Build(secure.Config{Threads: o.Threads, Seed: o.Seed, Scale: o.Scale, Keys: kc})
 }
 
 // HardwareCostReport itemizes HyBP's Section VII-D hardware accounting.
@@ -199,15 +167,8 @@ func Simulate(cfg SimConfig) SimResult { return pipeline.New(cfg).Run() }
 // Benchmarks for the available names.
 func Benchmark(name string) workload.Profile { return workload.Get(name) }
 
-// Benchmarks lists the available synthetic benchmark names.
-func Benchmarks() []string {
-	ps := workload.Profiles()
-	out := make([]string, 0, len(ps))
-	for name := range ps {
-		out = append(out, name)
-	}
-	return out
-}
+// Benchmarks lists the available synthetic benchmark names, sorted.
+func Benchmarks() []string { return workload.Names() }
 
 // Mixes returns the paper's Table V SMT-2 pairings.
 func Mixes() []workload.Mix { return workload.Mixes() }

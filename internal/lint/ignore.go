@@ -8,7 +8,7 @@ import (
 // ignoreDirective is one parsed //lint:ignore comment.
 type ignoreDirective struct {
 	file     string
-	line     int    // line the comment sits on; it covers this line and the next
+	line     int // line the comment sits on; it covers this line and the next
 	analyzer string
 	reason   string
 	used     bool

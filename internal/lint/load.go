@@ -123,11 +123,11 @@ func modulePath(root string) (string, error) {
 
 // rawPkg is a parsed-but-unchecked package plus its module-internal deps.
 type rawPkg struct {
-	path    string
-	dir     string
-	files   []*ast.File
-	deps    []string // module-internal import paths
-	name    string
+	path  string
+	dir   string
+	files []*ast.File
+	deps  []string // module-internal import paths
+	name  string
 }
 
 // scanModule walks the module tree and parses every package directory.

@@ -319,8 +319,8 @@ func normalizeSim(s SimRequest) (SimRequest, error) {
 	if s.Mech == "" {
 		s.Mech = string(sim.MechHyBP)
 	}
-	if !sim.ValidMechanism(sim.MechanismID(s.Mech)) {
-		return s, fmt.Errorf("unknown mechanism %q (valid: %s)", s.Mech, mechList())
+	if _, err := sim.ParseMechanism(s.Mech); err != nil {
+		return s, err
 	}
 	if s.Cycles == 0 {
 		s.Cycles = 6_000_000
@@ -389,15 +389,6 @@ func (e ExperimentRequest) scale() sim.Scale {
 		sc.DefaultInterval = e.Intervals[len(e.Intervals)-1]
 	}
 	return sc
-}
-
-func mechList() string {
-	ids := sim.MechanismIDs()
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = string(id)
-	}
-	return strings.Join(out, ", ")
 }
 
 // jobID derives the stable job id from the content-addressed key.

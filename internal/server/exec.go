@@ -10,9 +10,10 @@ import (
 
 // executeSim runs one normalized simulation point: the requested mechanism
 // and the unprotected baseline over identical workload streams, both as
-// content-addressed jobs on the shared harness. Two clients asking for the
-// same point — or two points sharing a baseline — therefore simulate once;
-// against a warm cache directory, zero times.
+// content-addressed jobs on the shared harness (sim.Runner.Versus, the
+// same call hybpsim makes). Two clients asking for the same point — or two
+// points sharing a baseline — therefore simulate once; against a warm
+// cache directory, zero times.
 func (s *Server) executeSim(req SimRequest) (any, error) {
 	sc := sim.Scale{
 		MaxCycles:       req.Cycles,
@@ -28,38 +29,22 @@ func (s *Server) executeSim(req SimRequest) (any, error) {
 	if req.KeysEntries > 0 {
 		mech.KeysEntries = req.KeysEntries
 	}
-	base := sim.Mech(sim.MechBaseline)
+	mr, br, err := s.sim.Versus(sc, req.Bench, req.Bench2, mech, req.Interval)
+	if err != nil {
+		return nil, err
+	}
 
 	out := SimJobResult{
-		Mechanism: req.Mech,
-		Interval:  req.Interval,
-		Cycles:    req.Cycles,
-		Warmup:    req.Warmup,
-		Seed:      req.Seed,
+		Mechanism:             req.Mech,
+		Interval:              req.Interval,
+		Cycles:                req.Cycles,
+		Warmup:                req.Warmup,
+		Seed:                  req.Seed,
+		ThroughputIPC:         mr.ThroughputIPC(),
+		BaselineThroughputIPC: br.ThroughputIPC(),
 	}
-	if req.Bench2 != "" {
-		mix := workload.Mix{Name: req.Bench + "+" + req.Bench2, A: req.Bench, B: req.Bench2}
-		mechFut := s.sim.SMT(sc, mix, mech, req.Interval)
-		baseFut := s.sim.SMT(sc, mix, base, req.Interval)
-		mr, br := mechFut.Get(), baseFut.Get()
-		for i, tr := range mr.Threads {
-			out.Threads = append(out.Threads, simThread([2]string{req.Bench, req.Bench2}[i], tr, br.Threads[i]))
-		}
-		out.ThroughputIPC = mr.ThroughputIPC()
-		out.BaselineThroughputIPC = br.ThroughputIPC()
-	} else {
-		var mechFut, baseFut interface{ Get() pipeline.ThreadResult }
-		if req.NoSwitch {
-			mechFut = s.sim.Solo(sc, req.Bench, mech)
-			baseFut = s.sim.Solo(sc, req.Bench, base)
-		} else {
-			mechFut = s.sim.Single(sc, req.Bench, mech, req.Interval)
-			baseFut = s.sim.Single(sc, req.Bench, base, req.Interval)
-		}
-		mr, br := mechFut.Get(), baseFut.Get()
-		out.Threads = append(out.Threads, simThread(req.Bench, mr, br))
-		out.ThroughputIPC = mr.IPC()
-		out.BaselineThroughputIPC = br.IPC()
+	for i, tr := range mr.Threads {
+		out.Threads = append(out.Threads, simThread([2]string{req.Bench, req.Bench2}[i], tr, br.Threads[i]))
 	}
 	if out.BaselineThroughputIPC > 0 {
 		out.DegradationPct = 100 * (out.BaselineThroughputIPC - out.ThroughputIPC) / out.BaselineThroughputIPC

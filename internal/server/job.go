@@ -123,11 +123,12 @@ func (j *Job) progress(p ProgressInfo) {
 	j.appendLocked("progress", &p)
 }
 
-// finish resolves the job with a result or an error.
-func (j *Job) finish(result json.RawMessage, err error) {
+// finish resolves the job with a result or an error, finished at
+// finishedMS (unix milliseconds).
+func (j *Job) finish(result json.RawMessage, err error, finishedMS int64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.info.FinishedMS = nowMS()
+	j.info.FinishedMS = finishedMS
 	if err != nil {
 		j.info.Status = StatusFailed
 		j.info.Error = err.Error()

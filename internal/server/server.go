@@ -698,19 +698,23 @@ func (s *Server) runJob(j *Job) {
 	close(stopProgress)
 	progressDone.Wait()
 
-	j.finish(out.raw, out.err)
-	ji := j.Info()
-	s.met.observeLatency(ji.FinishedMS - ji.CreatedMS)
+	// Publish the terminal state last: latency, the completion counter
+	// and the server.job span are all settled first, so a client that
+	// sees done/failed also finds the job in /metrics, /metrics.prom and
+	// /debug/trace.
+	finishedMS := nowMS()
+	ms := finishedMS - j.Info().CreatedMS
+	s.met.observeLatency(ms)
 	if out.err != nil {
 		s.met.failed.Inc()
 		span.SetErr(out.err)
-		s.cfg.Log.Error("job failed", "job", j.id, "key", j.key,
-			"ms", ji.FinishedMS-ji.CreatedMS, "err", out.err)
-		return
+		s.cfg.Log.Error("job failed", "job", j.id, "key", j.key, "ms", ms, "err", out.err)
+	} else {
+		s.met.completed.Inc()
+		s.cfg.Log.Info("job done", "job", j.id, "key", j.key, "ms", ms)
 	}
-	s.met.completed.Inc()
-	s.cfg.Log.Info("job done", "job", j.id, "key", j.key,
-		"ms", ji.FinishedMS-ji.CreatedMS)
+	span.End()
+	j.finish(out.raw, out.err, finishedMS)
 }
 
 // execute maps a normalized request to the sim runner.

@@ -25,7 +25,9 @@ func (r *Runner) BRBComparison(sc Scale, benches []string) BRBResult {
 	if len(benches) == 0 {
 		benches = []string{"gcc", "deepsjeng", "xz", "imagick"}
 	}
-	type trio struct{ base, hy, brb harness.Future[pipeline.ThreadResult] }
+	type trio struct {
+		base, hy, brb harness.Future[pipeline.ThreadResult]
+	}
 	futs := make([]trio, len(benches))
 	for i, b := range benches {
 		futs[i] = trio{
@@ -40,12 +42,11 @@ func (r *Runner) BRBComparison(sc Scale, benches []string) BRBResult {
 		hy = append(hy, degradation(base, f.hy.Get()))
 		brb = append(brb, degradation(base, f.brb.Get()))
 	}
-	hybpCost := secure.Cost(secure.NewHyBP(secure.Config{Threads: 2, Seed: sc.Seed}))
-	brbBPU := secure.NewBRB(secure.Config{Threads: 2, Seed: sc.Seed})
+	brbBPU := Mech(MechBRB).Build(secure.Config{Threads: 2, Seed: sc.Seed})
 	return BRBResult{
 		HyBPLoss:       metrics.Mean(hy),
 		BRBLoss:        metrics.Mean(brb),
-		HyBPOverheadKB: hybpCost.TotalKB,
+		HyBPOverheadKB: HardwareCost(sc.Seed).TotalKB,
 		BRBOverheadKB:  float64(brbBPU.StorageBits()-brbBPU.BaselineBits()) / 8 / 1024,
 	}
 }

@@ -55,24 +55,24 @@ func ParseScale(name string) (Scale, error) {
 	return Scale{}, fmt.Errorf("unknown scale %q (valid: %s)", name, strings.Join(ScaleNames(), ", "))
 }
 
-// MechanismIDs lists the defense mechanisms single-point simulations accept.
+// MechanismIDs lists the defense mechanisms MechSpec.Build accepts.
 func MechanismIDs() []MechanismID {
 	return []MechanismID{MechBaseline, MechFlush, MechPartition, MechReplication, MechBRB, MechHyBP}
 }
 
-// ValidMechanism reports whether id names a defense mechanism.
-func ValidMechanism(id MechanismID) bool {
-	for _, m := range MechanismIDs() {
-		if m == id {
-			return true
+// ParseMechanism resolves a mechanism name — the one check every front
+// end applies before building a BPU. The error lists the valid names.
+func ParseMechanism(name string) (MechanismID, error) {
+	ids := MechanismIDs()
+	names := make([]string, len(ids))
+	for i, id := range ids {
+		if string(id) == name {
+			return id, nil
 		}
+		names[i] = string(id)
 	}
-	return false
+	return "", fmt.Errorf("unknown mechanism %q (valid: %s)", name, strings.Join(names, ", "))
 }
-
-// BenchNames returns the sorted benchmark names a dispatch front end should
-// print in "valid values" errors.
-func BenchNames() []string { return workload.Names() }
 
 // Experiment runs one named experiment on the Runner with the front ends'
 // shared per-experiment defaults (Table III's 200 iterations, Figure 8's
@@ -130,16 +130,10 @@ func ExecutePoint(spec json.RawMessage) (json.RawMessage, error) {
 	if err := sp.validate(); err != nil {
 		return nil, err
 	}
-	var v any
-	switch sp.Kind {
-	case PointSingle:
-		v = sp.runSingle()
-	case PointSMT:
-		v = sp.runSMT()
-	case PointSolo:
-		v = sp.runSolo()
+	if sp.Kind == PointSMT {
+		return json.Marshal(sp.run())
 	}
-	return json.Marshal(v)
+	return json.Marshal(sp.runThread())
 }
 
 // costPrintable adapts the hardware-cost report to Printable. The

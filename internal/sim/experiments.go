@@ -55,7 +55,9 @@ func (r *Runner) Table1(sc Scale, benches []string, mixes []workload.Mix) Table1
 	// single-thread number is reported by Figure 6; Table I's HyBP row uses
 	// the SMT mixes like Partition/Replication), the SMT baseline and
 	// mechanism runs per mix, and the solo runs behind Disable-SMT.
-	type pair struct{ base, mech harness.Future[pipeline.ThreadResult] }
+	type pair struct {
+		base, mech harness.Future[pipeline.ThreadResult]
+	}
 	flush := make([]pair, len(benches))
 	for i, b := range benches {
 		flush[i] = pair{
@@ -111,15 +113,16 @@ func (r *Runner) Table1(sc Scale, benches []string, mixes []workload.Mix) Table1
 		disableLosses = append(disableLosses, metrics.DegradationPercent(smt.ThroughputIPC(), serial))
 	}
 
-	hw := func(b secure.BPU) float64 { return secure.OverheadPercent(b) }
-	hybpCost := secure.Cost(secure.NewHyBP(secure.Config{Threads: 2, Seed: sc.Seed}))
+	hw := func(id MechanismID) float64 {
+		return secure.OverheadPercent(Mech(id).Build(secure.Config{Threads: 2, Seed: sc.Seed}))
+	}
 
 	return Table1Result{Rows: []Table1Row{
 		{Mechanism: "Flush", PerfOverhead: metrics.Mean(flushLosses), HardwareCost: 0, SingleSecure: "yes", SMTSecure: "no"},
-		{Mechanism: "Partition", PerfOverhead: partLoss, HardwareCost: hw(newBPU(MechPartition, 2, sc.Seed)), SingleSecure: "yes", SMTSecure: "yes"},
-		{Mechanism: "Replication", PerfOverhead: replLoss, HardwareCost: hw(newBPU(MechReplication, 2, sc.Seed)), SingleSecure: "yes", SMTSecure: "yes"},
+		{Mechanism: "Partition", PerfOverhead: partLoss, HardwareCost: hw(MechPartition), SingleSecure: "yes", SMTSecure: "yes"},
+		{Mechanism: "Replication", PerfOverhead: replLoss, HardwareCost: hw(MechReplication), SingleSecure: "yes", SMTSecure: "yes"},
 		{Mechanism: "Disable SMT", PerfOverhead: metrics.Mean(disableLosses), HardwareCost: 0, SingleSecure: "-", SMTSecure: "yes"},
-		{Mechanism: "HyBP", PerfOverhead: hybpLoss, HardwareCost: hybpCost.OverheadPercent, SingleSecure: "yes", SMTSecure: "yes"},
+		{Mechanism: "HyBP", PerfOverhead: hybpLoss, HardwareCost: HardwareCost(sc.Seed).OverheadPercent, SingleSecure: "yes", SMTSecure: "yes"},
 	}}
 }
 
@@ -231,7 +234,9 @@ func (r *Runner) Fig5(sc Scale, benches []string) Fig5Result {
 		benches = workload.FigureApps()
 	}
 
-	type pair struct{ base, hy harness.Future[pipeline.ThreadResult] }
+	type pair struct {
+		base, hy harness.Future[pipeline.ThreadResult]
+	}
 	futs := make(map[string]map[uint64]pair, len(benches))
 	for _, b := range benches {
 		futs[b] = make(map[uint64]pair, len(sc.Intervals))
@@ -553,7 +558,7 @@ func (r *Runner) Fig8(sc Scale, mixes []workload.Mix, overheads []float64) Fig8R
 		res.Points = append(res.Points, Fig8Point{OverheadPercent: 100 * ov, PerfLoss: avgLoss(replF[i])})
 	}
 	res.HyBPLoss = avgLoss(hybpF)
-	res.HyBPCost = secure.Cost(secure.NewHyBP(secure.Config{Threads: 2, Seed: sc.Seed})).OverheadPercent
+	res.HyBPCost = HardwareCost(sc.Seed).OverheadPercent
 
 	res.Crossover = -1
 	sort.Slice(res.Points, func(i, j int) bool { return res.Points[i].OverheadPercent < res.Points[j].OverheadPercent })
@@ -603,7 +608,9 @@ func (r *Runner) Table6(sc Scale, benches []string, sizes []int) Table6Result {
 	}
 	intervals := []uint64{sc.DefaultInterval / 4, sc.DefaultInterval}
 
-	type pair struct{ base, hy harness.Future[pipeline.ThreadResult] }
+	type pair struct {
+		base, hy harness.Future[pipeline.ThreadResult]
+	}
 	futs := make(map[uint64]map[int][]pair, len(intervals))
 	for _, iv := range intervals {
 		futs[iv] = make(map[int][]pair, len(sizes))

@@ -64,7 +64,9 @@ func Summarize(xs []float64) SeedStats {
 // is distinct, so its points are distinct jobs; the n seeds all run in
 // parallel on the pool.
 func (r *Runner) MultiSeedDegradation(sc Scale, bench string, id MechanismID, n int) SeedStats {
-	type pair struct{ base, mech harness.Future[pipeline.ThreadResult] }
+	type pair struct {
+		base, mech harness.Future[pipeline.ThreadResult]
+	}
 	futs := make([]pair, n)
 	for i := 0; i < n; i++ {
 		s := sc

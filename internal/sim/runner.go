@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"hybp/internal/harness"
@@ -81,27 +82,40 @@ func (m MechSpec) tag() string {
 	return t
 }
 
-// build instantiates the configured BPU.
-func (m MechSpec) build(threads int, seed uint64) secure.BPU {
-	cfg := secure.Config{Threads: threads, Seed: seed}
-	switch {
-	case m.Tournament:
+// Build instantiates the configured BPU on cfg's core. It is the one
+// switch from a mechanism name to a secure.BPU: every experiment, the
+// hybp facade, and the CLIs build through it. cfg's Threads, Seed, Scale
+// and Keys are honoured as given; KeysEntries overrides only
+// cfg.Keys.Entries. An unknown ID panics — front ends check names with
+// ParseMechanism first.
+func (m MechSpec) Build(cfg secure.Config) secure.BPU {
+	if m.KeysEntries > 0 {
+		if cfg.Keys.Entries == 0 {
+			cfg.Keys = keys.DefaultConfig(cfg.Seed)
+		}
+		cfg.Keys.Entries = m.KeysEntries
+	}
+	if m.Tournament {
 		cfg.UseTournament = true
 		return secure.NewBaseline(cfg)
-	case m.ID == MechFlush && m.FlushCtxOnly:
-		f := secure.NewFlush(cfg)
-		f.FlushOnPrivilege = false
-		return f
-	case m.ID == MechReplication:
-		return secure.NewReplication(cfg, m.ReplFactor)
-	case m.ID == MechHyBP && m.KeysEntries > 0:
-		kc := keys.DefaultConfig(seed)
-		kc.Entries = m.KeysEntries
-		cfg.Keys = kc
-		return secure.NewHyBP(cfg)
-	default:
-		return newBPU(m.ID, threads, seed)
 	}
+	switch m.ID {
+	case MechBaseline:
+		return secure.NewBaseline(cfg)
+	case MechFlush:
+		f := secure.NewFlush(cfg)
+		f.FlushOnPrivilege = !m.FlushCtxOnly
+		return f
+	case MechPartition:
+		return secure.NewPartition(cfg)
+	case MechReplication:
+		return secure.NewReplication(cfg, m.ReplFactor)
+	case MechBRB:
+		return secure.NewBRB(cfg)
+	case MechHyBP:
+		return secure.NewHyBP(cfg)
+	}
+	panic("sim: unknown mechanism " + string(m.ID))
 }
 
 // PointSpec is the canonical, JSON-serializable identity of one simulation
@@ -140,57 +154,35 @@ func (sp PointSpec) canon() []byte {
 	return b
 }
 
-// runSingle executes a "single" point: one context-switching thread. The
-// body is exactly the pre-cluster Single closure, so local and remote
-// execution share one code path.
-func (sp PointSpec) runSingle() pipeline.ThreadResult {
-	bpu := sp.Mech.build(1, sp.RootSeed)
-	core := pipeline.DefaultCoreConfig()
-	core.ExtraFrontEnd = sp.ExtraFE
-	s := pipeline.New(pipeline.Config{
-		Core: core,
-		BPU:  bpu,
-		Threads: []pipeline.ThreadSpec{{
-			Workload:      workload.Get(sp.Bench),
-			OtherWorkload: partnerOf(sp.Bench),
-			Seed:          wlSeed(sp.RootSeed, sp.Bench),
-		}},
-		SwitchInterval: sp.Interval,
-		MaxCycles:      sp.Cycles,
-		WarmupCycles:   sp.Warmup,
-	})
-	return s.Run().Threads[0]
+// run executes the point: one hardware thread per benchmark (two for an
+// "smt" mix, the second's stream seed offset by 0xF00) on the BPU Mech
+// names. "single" and "smt" threads time-share with their partner process
+// every Interval cycles; a "solo" thread runs alone and never switches.
+// Every point kind, locally or on a cluster worker, runs through here.
+func (sp PointSpec) run() pipeline.Result {
+	benches := []string{sp.Bench}
+	if sp.Kind == PointSMT {
+		benches = []string{sp.A, sp.B}
+	}
+	switching := sp.Kind != PointSolo
+	cfg := pipeline.Config{Core: pipeline.DefaultCoreConfig(), MaxCycles: sp.Cycles, WarmupCycles: sp.Warmup}
+	cfg.Core.ExtraFrontEnd = sp.ExtraFE
+	if switching {
+		cfg.SwitchInterval = sp.Interval
+	}
+	for i, b := range benches {
+		ts := pipeline.ThreadSpec{Workload: workload.Get(b), Seed: wlSeed(sp.RootSeed, b) ^ uint64(i)*0xF00}
+		if switching {
+			ts.OtherWorkload = partnerOf(b)
+		}
+		cfg.Threads = append(cfg.Threads, ts)
+	}
+	cfg.BPU = sp.Mech.Build(secure.Config{Threads: len(benches), Seed: sp.RootSeed})
+	return pipeline.New(cfg).Run()
 }
 
-// runSMT executes an "smt" point: a Table V mix, both threads measured.
-func (sp PointSpec) runSMT() pipeline.Result {
-	bpu := sp.Mech.build(2, sp.RootSeed)
-	s := pipeline.New(pipeline.Config{
-		Core: pipeline.DefaultCoreConfig(),
-		BPU:  bpu,
-		Threads: []pipeline.ThreadSpec{
-			{Workload: workload.Get(sp.A), OtherWorkload: partnerOf(sp.A), Seed: wlSeed(sp.RootSeed, sp.A)},
-			{Workload: workload.Get(sp.B), OtherWorkload: partnerOf(sp.B), Seed: wlSeed(sp.RootSeed, sp.B) ^ 0xF00},
-		},
-		SwitchInterval: sp.Interval,
-		MaxCycles:      sp.Cycles,
-		WarmupCycles:   sp.Warmup,
-	})
-	return s.Run()
-}
-
-// runSolo executes a "solo" point: one thread, no context switching.
-func (sp PointSpec) runSolo() pipeline.ThreadResult {
-	bpu := sp.Mech.build(1, sp.RootSeed)
-	s := pipeline.New(pipeline.Config{
-		Core:         pipeline.DefaultCoreConfig(),
-		BPU:          bpu,
-		Threads:      []pipeline.ThreadSpec{{Workload: workload.Get(sp.Bench), Seed: wlSeed(sp.RootSeed, sp.Bench)}},
-		MaxCycles:    sp.Cycles,
-		WarmupCycles: sp.Warmup,
-	})
-	return s.Run().Threads[0]
-}
+// runThread executes a one-thread ("single" or "solo") point.
+func (sp PointSpec) runThread() pipeline.ThreadResult { return sp.run().Threads[0] }
 
 // validate rejects specs that would panic deep inside the simulator —
 // remote workers decode specs off the wire, so unknown names must surface
@@ -212,8 +204,8 @@ func (sp PointSpec) validate() error {
 		return fmt.Errorf("sim: unknown point kind %q (valid: %s, %s, %s)",
 			sp.Kind, PointSingle, PointSMT, PointSolo)
 	}
-	if !sp.Mech.Tournament && !ValidMechanism(sp.Mech.ID) {
-		return fmt.Errorf("sim: unknown mechanism %q", sp.Mech.ID)
+	if _, err := ParseMechanism(string(sp.Mech.ID)); err != nil && !sp.Mech.Tournament {
+		return fmt.Errorf("sim: %w", err)
 	}
 	if sp.Cycles == 0 || sp.Warmup >= sp.Cycles {
 		return fmt.Errorf("sim: bad cycle budget (cycles=%d, warmup=%d)", sp.Cycles, sp.Warmup)
@@ -252,7 +244,7 @@ func (r *Runner) SingleFE(sc Scale, bench string, m MechSpec, interval uint64, e
 		ExtraFE: extraFE, Cycles: sc.MaxCycles, Warmup: sc.WarmupCycles, RootSeed: sc.Seed,
 	}
 	key := harness.Key(fmt.Sprintf("single-%s-%s-iv%s", bench, m.tag(), fmtInterval(interval)), spec)
-	return harness.SubmitSpec(r.h, key, spec.canon(), spec.runSingle)
+	return harness.SubmitSpec(r.h, key, spec.canon(), spec.runThread)
 }
 
 // SMT schedules an SMT-2 measurement of a Table V mix on the given
@@ -263,7 +255,7 @@ func (r *Runner) SMT(sc Scale, mix workload.Mix, m MechSpec, interval uint64) ha
 		Cycles: sc.MaxCycles, Warmup: sc.WarmupCycles, RootSeed: sc.Seed,
 	}
 	key := harness.Key(fmt.Sprintf("smt-%s+%s-%s-iv%s", mix.A, mix.B, m.tag(), fmtInterval(interval)), spec)
-	return harness.SubmitSpec(r.h, key, spec.canon(), spec.runSMT)
+	return harness.SubmitSpec(r.h, key, spec.canon(), spec.run)
 }
 
 // Solo schedules a lone, switch-free measurement of bench on the given
@@ -274,5 +266,30 @@ func (r *Runner) Solo(sc Scale, bench string, m MechSpec) harness.Future[pipelin
 		Cycles: sc.MaxCycles, Warmup: sc.WarmupCycles, RootSeed: sc.Seed,
 	}
 	key := harness.Key(fmt.Sprintf("solo-%s-%s", bench, m.tag()), spec)
-	return harness.SubmitSpec(r.h, key, spec.canon(), spec.runSolo)
+	return harness.SubmitSpec(r.h, key, spec.canon(), spec.runThread)
+}
+
+// Versus runs one point on m and on the unprotected baseline over the
+// identical workload streams — the comparison behind every degradation
+// hybpsim and the hybpd sim jobs report. A non-empty bench2 runs bench and
+// bench2 as an SMT-2 mix; otherwise interval 0 runs bench solo and any
+// other interval runs it as a context-switching single thread, returned
+// as a one-thread Result. err joins the two jobs' terminal errors.
+func (r *Runner) Versus(sc Scale, bench, bench2 string, m MechSpec, interval uint64) (mech, base pipeline.Result, err error) {
+	baseM := Mech(MechBaseline)
+	if bench2 != "" {
+		mix := workload.Mix{Name: bench + "+" + bench2, A: bench, B: bench2}
+		mf, bf := r.SMT(sc, mix, m, interval), r.SMT(sc, mix, baseM, interval)
+		return mf.Get(), bf.Get(), errors.Join(mf.Err(), bf.Err())
+	}
+	var mf, bf harness.Future[pipeline.ThreadResult]
+	if interval == 0 {
+		mf, bf = r.Solo(sc, bench, m), r.Solo(sc, bench, baseM)
+	} else {
+		mf, bf = r.Single(sc, bench, m, interval), r.Single(sc, bench, baseM, interval)
+	}
+	one := func(tr pipeline.ThreadResult) pipeline.Result {
+		return pipeline.Result{Threads: []pipeline.ThreadResult{tr}}
+	}
+	return one(mf.Get()), one(bf.Get()), errors.Join(mf.Err(), bf.Err())
 }

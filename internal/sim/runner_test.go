@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"hybp/internal/harness"
+	"hybp/internal/keys"
+	"hybp/internal/secure"
 	"hybp/internal/workload"
 )
 
@@ -221,5 +223,38 @@ func TestMechSpecKeys(t *testing.T) {
 	k.KeysEntries = 4096
 	if harness.Hash(Mech(MechHyBP)) == harness.Hash(k) {
 		t.Fatal("HyBP default and 4K keys share a content address")
+	}
+}
+
+// TestMechSpecBuildHonoursConfig pins Build's contract: a caller's Scale
+// and Keys reach the mechanism, and KeysEntries replaces only Keys.Entries.
+func TestMechSpecBuildHonoursConfig(t *testing.T) {
+	full := Mech(MechPartition).Build(secure.Config{Threads: 2, Seed: 1})
+	small := Mech(MechPartition).Build(secure.Config{Threads: 2, Seed: 1, Scale: 1.0 / 16})
+	if small.StorageBits() >= full.StorageBits() {
+		t.Errorf("Scale 1/16 storage %d bits, full scale %d", small.StorageBits(), full.StorageBits())
+	}
+
+	kc := keys.DefaultConfig(1)
+	kc.AccessThreshold = 25
+	m := Mech(MechHyBP)
+	m.KeysEntries = 256
+	bpu := m.Build(secure.Config{Threads: 1, Seed: 1, Keys: kc})
+	want := kc
+	want.Entries = 256
+	ref := Mech(MechHyBP).Build(secure.Config{Threads: 1, Seed: 1, Keys: want})
+	if got, w := secure.Cost(bpu.(*secure.HyBP)), secure.Cost(ref.(*secure.HyBP)); got != w {
+		t.Errorf("KeysEntries 256 cost %+v, want %+v", got, w)
+	}
+	ctx := secure.Context{Thread: 0, Priv: keys.User, ASID: 1}
+	stale := 0
+	for i := 0; i < 400; i++ {
+		br := secure.Branch{PC: uint64(0x1000 + i*8), Target: 1, Taken: true, Kind: secure.Jump}
+		if bpu.Access(ctx, br, uint64(i*4)).StaleKey {
+			stale++
+		}
+	}
+	if stale == 0 {
+		t.Error("KeysEntries dropped the caller's 25-access key-change threshold")
 	}
 }

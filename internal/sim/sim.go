@@ -7,7 +7,6 @@ package sim
 import (
 	"hybp/internal/metrics"
 	"hybp/internal/pipeline"
-	"hybp/internal/secure"
 	"hybp/internal/workload"
 )
 
@@ -85,27 +84,6 @@ const (
 	MechBRB         MechanismID = "brb"
 	MechHyBP        MechanismID = "hybp"
 )
-
-// newBPU instantiates a mechanism for the given thread count.
-func newBPU(id MechanismID, threads int, seed uint64) secure.BPU {
-	cfg := secure.Config{Threads: threads, Seed: seed}
-	switch id {
-	case MechBaseline:
-		return secure.NewBaseline(cfg)
-	case MechFlush:
-		return secure.NewFlush(cfg)
-	case MechPartition:
-		return secure.NewPartition(cfg)
-	case MechReplication:
-		return secure.NewReplication(cfg, 1.0)
-	case MechBRB:
-		return secure.NewBRB(cfg)
-	case MechHyBP:
-		return secure.NewHyBP(cfg)
-	default:
-		panic("sim: unknown mechanism " + string(id))
-	}
-}
 
 // partnerOf picks the time-sharing partner process for single-thread
 // context-switch studies (a different benchmark keeps the pollution
