@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet lint build test race bench benchsmoke perfbench-build profile record serve loadtest chaos chaossmoke cluster-smoke trace-smoke journal-smoke
+.PHONY: ci fmt vet lint build test race bench benchsmoke perfbench-build perfbench-check profile record serve loadtest chaos chaossmoke cluster-smoke trace-smoke journal-smoke
 
 # ci is the full gate: static checks (gofmt, go vet plus hybplint, the
 # project-specific analyzers for nil-safe handles, determinism, atomic
@@ -14,8 +14,9 @@ GO ?= go
 # producing loadable Chrome trace JSON, and a journal smoke (hybpd
 # SIGKILLed mid-sweep, restarted on the same -journal) so crash recovery
 # keeps losing nothing. perfbench-build compiles the benchmark module,
-# which the root go build cannot see.
-ci: fmt vet lint build test race benchsmoke perfbench-build chaossmoke cluster-smoke trace-smoke journal-smoke
+# which the root go build cannot see, and perfbench-check runs its three
+# simulator workloads against their pinned output digests.
+ci: fmt vet lint build test race benchsmoke perfbench-build perfbench-check chaossmoke cluster-smoke trace-smoke journal-smoke
 
 # fmt fails when any Go file in the tree, the nested perfbench module
 # included, is not gofmt-clean; it lists the offenders.
@@ -109,6 +110,19 @@ benchsmoke:
 # its own go.mod), which imports internal packages of this one.
 perfbench-build:
 	cd perfbench && $(GO) vet ./... && $(GO) build -o /dev/null .
+
+# perfbench-check runs the steady-state, switch-storm and attack-poc
+# workloads for one second each (about 25 s in all) at seed 2022, where
+# perfbench compares each first round's output with its pinned digest. It
+# fails unless every result line reads "correct":true with no failed job:
+# perfbench itself exits 0 on wrong output, so the line is checked here.
+perfbench-check:
+	@for w in steady-state switch-storm attack-poc; do \
+	    line=$$(bash perfbench/run.sh --workload $$w --seed 2022 --seconds 1 --trace 0 | tail -n 1) || exit 1; \
+	    echo "$$w: $$line"; \
+	    case "$$line" in *'"correct":true,'*'"failed":0,'*) ;; \
+	    *) echo "perfbench-check: $$w produced wrong output"; exit 1;; esac; \
+	done
 
 # profile runs a quick-scale sweep under the CPU profiler and prints the
 # top-10 flat functions — the first step of every perf PR (both rounds of

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"hash/fnv"
 	"math"
 	"reflect"
@@ -203,6 +204,30 @@ func TestGoldenDigestSwitchHeavy(t *testing.T) {
 	if got := h.Sum64(); got != goldenDigestSwitchHeavy {
 		t.Errorf("switch-heavy golden digest = %#x, want %#x (re-keying output changed bit-for-bit)",
 			got, uint64(goldenDigestSwitchHeavy))
+	}
+}
+
+// goldenDigestTable3 pins Table III's proofs of concept bit-for-bit: the
+// FNV-1a digest of sim.Table3's JSON at 10 iterations and seed 2022, the
+// job the attack-poc benchmark workload runs. It is hashed the way the
+// benchmark hashes a round of one job (the output, then a zero byte), so
+// it equals that workload's pinned digest. Random-PC PHT streams on small
+// tables make it the pin that sees tagged-table allocation and
+// context-switch flushes most. Update it like goldenDigest: rerun with
+// -run TestGoldenDigestTable3 -v and copy the value.
+const goldenDigestTable3 = 0x8c4542a88b99c56a
+
+func TestGoldenDigestTable3(t *testing.T) {
+	out, err := json.Marshal(Table3(Table3Config{Iterations: 10, Seed: 2022}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(out)
+	h.Write([]byte{0})
+	if got := h.Sum64(); got != goldenDigestTable3 {
+		t.Errorf("Table III golden digest = %#x, want %#x (PoC output changed bit-for-bit)",
+			got, uint64(goldenDigestTable3))
 	}
 }
 

@@ -1,6 +1,10 @@
 package tage
 
-import "testing"
+import (
+	"testing"
+
+	"hybp/internal/rng"
+)
 
 // benchStream generates a deterministic branch stream shaped like the
 // simulator's: a working set of PCs with mixed biased/patterned outcomes.
@@ -49,6 +53,42 @@ func BenchmarkAccessTransformed(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := stream[i&4095]
 		t.Access(p.pc, p.taken, hs)
+	}
+}
+
+// BenchmarkAccessRandomPC times predict+update on the attack PoCs' shape:
+// thirty 64-entry tables (the 1/16 geometry they attack) and random PCs
+// over 16K branches with random outcomes, so about half the accesses
+// mispredict and allocate. BenchmarkAccess's 512-PC stream rarely does.
+func BenchmarkAccessRandomPC(b *testing.B) {
+	cfg := DefaultConfig(1)
+	cfg.Tables = append([]TableSpec(nil), cfg.Tables...)
+	for i := range cfg.Tables {
+		cfg.Tables[i].Entries = 64
+	}
+	t := New(cfg)
+	hs := t.NewHistory()
+	r := rng.New(1)
+	stream := make([]benchPoint, 4096)
+	for i := range stream {
+		stream[i] = benchPoint{pc: 0x4000_0000 + uint64(r.Intn(1<<14))*4, taken: r.Bool(0.5)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := stream[i&4095]
+		t.Access(p.pc, p.taken, hs)
+	}
+}
+
+// BenchmarkHistoryReset times the per-thread history reset every
+// context switch of Flush, Partition, Replication and HyBP performs.
+func BenchmarkHistoryReset(b *testing.B) {
+	hs := New(DefaultConfig(1)).NewHistory()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hs.Reset()
 	}
 }
 

@@ -60,60 +60,8 @@ func (h *HistoryBuffer) Size() int { return h.size }
 
 // Reset zeroes the history.
 func (h *HistoryBuffer) Reset() {
-	for i := range h.bits {
-		h.bits[i] = 0
-	}
+	clear(h.bits)
 	h.pos = 0
-}
-
-// foldedHistory incrementally maintains history of length origLen folded
-// (by XOR) into compLen bits, the standard TAGE implementation trick that
-// keeps per-prediction work O(1) instead of O(history length). The fields
-// are deliberately narrow (8 bytes total): a 30-table geometry walks 90 of
-// these per branch, so they must stay resident in L1.
-type foldedHistory struct {
-	comp     uint32
-	origLen  uint16 // ≤ 640 at the paper's geometry
-	compLen  uint8  // ≤ 11 (index or tag width)
-	outPoint uint8  // < compLen
-}
-
-func newFolded(origLen, compLen int) foldedHistory {
-	return foldedHistory{
-		compLen:  uint8(compLen),
-		origLen:  uint16(origLen),
-		outPoint: uint8(origLen % compLen),
-	}
-}
-
-// shift folds in the newest history bit and folds out oldBit, the bit that
-// just fell off the end of this fold's original window. The caller reads
-// both bits from the history buffer once and feeds every fold that shares
-// the window length.
-func (f *foldedHistory) shift(newBit, oldBit uint32) {
-	f.comp = (f.comp << 1) | newBit
-	f.comp ^= oldBit << f.outPoint
-	f.comp ^= f.comp >> f.compLen
-	f.comp &= (1 << f.compLen) - 1
-}
-
-// update folds in the newest bit and folds out the bit that just fell off
-// the end of the original history window. It must be called after
-// HistoryBuffer.Push with the same buffer.
-func (f *foldedHistory) update(h *HistoryBuffer) {
-	f.shift(uint32(h.Bit(0)), uint32(h.Bit(int(f.origLen))))
-}
-
-// reset recomputes the fold from scratch over the buffer; used when history
-// is cleared wholesale.
-func (f *foldedHistory) reset(h *HistoryBuffer) {
-	f.comp = 0
-	for i := int(f.origLen) - 1; i >= 0; i-- {
-		f.comp = (f.comp << 1) | uint32(h.Bit(i))
-		f.comp = (f.comp ^ (f.comp >> f.compLen)) & (1<<f.compLen - 1)
-	}
-	// The incremental update and this recomputation agree on the all-zero
-	// history, which is the only state reset is used with.
 }
 
 // foldSet packs one tagged table's three folds (index width, tag width,
@@ -121,10 +69,11 @@ func (f *foldedHistory) reset(h *HistoryBuffer) {
 // per-branch fold maintenance — the hottest loop in the simulator — costs
 // one load, one store, and lane-parallel shift/XOR math per table instead
 // of three separate read-modify-writes. The lane arithmetic is exactly
-// foldedHistory.shift per lane (TestFoldSetMatchesFoldedHistory pins the
-// equivalence): all folds share a compLen ≤ 11, so a lane value never
-// exceeds 12 bits after the shift-in and the 24-bit lane spacing keeps the
-// per-lane fold shifts from contaminating a neighbor below its comp mask.
+// the single-fold reference's shift per lane (foldedHistory in the tests;
+// TestFoldSetMatchesFoldedHistory pins the equivalence): all folds share a
+// compLen ≤ 11, so a lane value never exceeds 12 bits after the shift-in
+// and the 24-bit lane spacing keeps the per-lane fold shifts from
+// contaminating a neighbor below its comp mask.
 type foldSet struct {
 	packed   uint64 // lanes at bits 0 (index), 24 (tag), 48 (tag-1)
 	outMask  uint64 // oldBit injection point (1<<outPoint) per lane
@@ -141,27 +90,24 @@ const (
 	foldLaneLSB  = 1 | 1<<foldLaneBits | 1<<(2*foldLaneBits)
 )
 
+// newFoldSet builds the folds of an origLen-bit window into idxBits,
+// tagBits and tagBits-1 bits. Each lane folds its outgoing bit back in at
+// outPoint = origLen mod compLen.
 func newFoldSet(origLen, idxBits, tagBits int) foldSet {
-	i := newFolded(origLen, idxBits)
-	t0 := newFolded(origLen, tagBits)
-	t1 := newFolded(origLen, tagBits-1)
-	return foldSet{
-		origLen: uint16(origLen),
-		cIdx:    i.compLen, cTag0: t0.compLen, cTag1: t1.compLen,
-		outMask: 1<<i.outPoint |
-			1<<(foldLaneBits+uint(t0.outPoint)) |
-			1<<(2*foldLaneBits+uint(t1.outPoint)),
-		compMask: (uint64(1)<<i.compLen - 1) |
-			(uint64(1)<<t0.compLen-1)<<foldLaneBits |
-			(uint64(1)<<t1.compLen-1)<<(2*foldLaneBits),
+	f := foldSet{origLen: uint16(origLen), cIdx: uint8(idxBits), cTag0: uint8(tagBits), cTag1: uint8(tagBits - 1)}
+	for lane, compLen := range [3]int{idxBits, tagBits, tagBits - 1} {
+		at := foldLaneBits * uint(lane)
+		f.outMask |= 1 << (at + uint(origLen%compLen))
+		f.compMask |= (1<<uint(compLen) - 1) << at
 	}
+	return f
 }
 
 // shift folds the newest bit in and oldBit out of all three lanes at once.
-// Per lane this is exactly foldedHistory.shift: shift-in, XOR the outgoing
-// bit at outPoint, fold the overflow bit (comp >> compLen, which is a
-// single bit because a lane holds ≤ compLen+1 bits here) back into the
-// LSB, then mask to compLen. Cross-lane garbage from the per-lane fold
+// Per lane this is exactly the reference fold's shift: shift-in, XOR the
+// outgoing bit at outPoint, fold the overflow bit (comp >> compLen, which
+// is a single bit because a lane holds ≤ compLen+1 bits here) back into
+// the LSB, then mask to compLen. Cross-lane garbage from the per-lane fold
 // shifts lands above each comp mask and is cleared by the final AND.
 func (f *foldSet) shift(newBit, oldBit uint64) {
 	p := f.packed<<1 | newBit*foldLaneLSB
@@ -170,20 +116,6 @@ func (f *foldSet) shift(newBit, oldBit uint64) {
 	p ^= (p >> f.cTag0) & (1 << foldLaneBits)
 	p ^= (p >> f.cTag1) & (1 << (2 * foldLaneBits))
 	f.packed = p & f.compMask
-}
-
-// reset recomputes all three lanes from the buffer via the reference fold.
-func (f *foldSet) reset(h *HistoryBuffer) {
-	lanes := [3]foldedHistory{
-		newFolded(int(f.origLen), int(f.cIdx)),
-		newFolded(int(f.origLen), int(f.cTag0)),
-		newFolded(int(f.origLen), int(f.cTag1)),
-	}
-	f.packed = 0
-	for i := range lanes {
-		lanes[i].reset(h)
-		f.packed |= uint64(lanes[i].comp) << (foldLaneBits * uint(i))
-	}
 }
 
 // Lane accessors for index computation.
@@ -225,11 +157,12 @@ func (hs *History) Update(pc uint64, taken bool) {
 }
 
 // Reset clears all history state (used when a software context is swapped
-// in with no retained predictor state).
+// in with no retained predictor state). Every fold of an all-zero window is
+// zero, so the folds are cleared rather than recomputed from the buffer.
 func (hs *History) Reset() {
 	hs.ghr.Reset()
 	hs.path = 0
 	for i := range hs.folds {
-		hs.folds[i].reset(hs.ghr)
+		hs.folds[i].packed = 0
 	}
 }

@@ -99,13 +99,23 @@ func SmallConfig(seed uint64) Config {
 // keys table is); the identity transform is the unprotected baseline.
 type IndexTransform func(table int, pc, index, tag uint64) (uint64, uint64)
 
-// tagEntry is one tagged-table entry. Ctr is the 3-bit signed prediction
-// counter (sign = direction), U the useful counter.
-type tagEntry struct {
-	tag   uint16
-	ctr   int8
-	u     uint8
-	valid bool
+// tagValid marks an occupied tagged entry: the tag array holds
+// tag|tagValid, so an empty entry (0) matches no lookup and a lookup
+// compares one uint16. Tags are therefore at most 15 bits wide.
+const tagValid = 1 << 15
+
+// bank places one tagged table in the flat entry arrays.
+type bank struct {
+	off     uint64 // position of the table's entry 0
+	mask    uint64 // Entries - 1
+	tagMask uint64 // 1<<TagBits - 1
+}
+
+// slot is one table's entry for the access in flight: its position in the
+// flat arrays and the tag word a hit there holds.
+type slot struct {
+	pos uint64
+	tag uint16 // tag | tagValid
 }
 
 // Stats counts predictor activity.
@@ -127,12 +137,20 @@ type Stats struct {
 // can physically isolate it per context; per-thread speculation history
 // lives in History values created by NewHistory.
 type Tage struct {
-	cfg      Config
-	tables   [][]tagEntry
-	masks    []uint64
-	tagMasks []uint64 // 1<<TagBits - 1 per table, hoisted off the lookup path
-	base     *Bimodal
-	xform    IndexTransform
+	cfg   Config
+	banks []bank
+	// The tagged entries of all tables as one struct of arrays: the tag
+	// word (0 when empty), the 3-bit signed prediction counter (sign =
+	// direction) and the useful counter. Table ti owns positions
+	// [banks[ti].off, banks[ti].off+Entries).
+	tagv []uint16
+	ctr  []int8
+	u    []uint8
+	// slots holds every table's entry for the current access: lookup
+	// fills it, and allocate reads it instead of hashing again.
+	slots []slot
+	base  *Bimodal
+	xform IndexTransform
 
 	useAltOnNA int8 // 4-bit counter choosing alt prediction for fresh entries
 	tick       uint64
@@ -150,21 +168,24 @@ func New(cfg Config) *Tage {
 		panic("tage: config needs at least one tagged table")
 	}
 	t := &Tage{
-		cfg:      cfg,
-		tables:   make([][]tagEntry, len(cfg.Tables)),
-		masks:    make([]uint64, len(cfg.Tables)),
-		tagMasks: make([]uint64, len(cfg.Tables)),
-		base:     NewBimodal(cfg.BimodalEntries),
-		rand:     rng.New(cfg.Seed ^ 0x7a6e),
+		cfg:   cfg,
+		banks: make([]bank, len(cfg.Tables)),
+		slots: make([]slot, len(cfg.Tables)),
+		base:  NewBimodal(cfg.BimodalEntries),
+		rand:  rng.New(cfg.Seed ^ 0x7a6e),
 	}
+	total := 0
 	for i, spec := range cfg.Tables {
 		if spec.Entries <= 0 || spec.Entries&(spec.Entries-1) != 0 {
 			panic("tage: table entries must be a positive power of two")
 		}
-		t.tables[i] = make([]tagEntry, spec.Entries)
-		t.masks[i] = uint64(spec.Entries - 1)
-		t.tagMasks[i] = 1<<uint(spec.TagBits) - 1
+		if spec.TagBits < 2 || spec.TagBits > 15 {
+			panic("tage: tag width must be 2 to 15 bits")
+		}
+		t.banks[i] = bank{off: uint64(total), mask: uint64(spec.Entries - 1), tagMask: 1<<uint(spec.TagBits) - 1}
+		total += spec.Entries
 	}
+	t.tagv, t.ctr, t.u = make([]uint16, total), make([]int8, total), make([]uint8, total)
 	if cfg.UseSC {
 		t.sc = newStatCorrector(cfg.SCBiasEntries, cfg.SCGEntries)
 	}
@@ -222,47 +243,49 @@ func (t *Tage) Stats() Stats { return t.stats }
 // ResetStats zeroes statistics.
 func (t *Tage) ResetStats() { t.stats = Stats{} }
 
-// index computes the effective (index, tag) of pc in tagged table ti under
-// history hs, applying the injected transform.
-func (t *Tage) index(ti int, pc uint64, hs *History) (uint64, uint64) {
+// index computes pc's entry in tagged table ti (placed by b) under history
+// hs, applying the injected transform.
+func (t *Tage) index(ti int, b *bank, pc uint64, hs *History) slot {
 	f := &hs.folds[ti]
-	idx := (pc >> 1) ^ (pc >> uint(1+ti)) ^ f.idxComp() ^ (hs.path & 0x3F)
-	idx &= t.masks[ti]
-	tag := ((pc >> 1) ^ f.tag0Comp() ^ (f.tag1Comp() << 1)) &
-		t.tagMasks[ti]
+	idx := ((pc >> 1) ^ (pc >> uint(1+ti)) ^ f.idxComp() ^ (hs.path & 0x3F)) & b.mask
+	tag := ((pc >> 1) ^ f.tag0Comp() ^ (f.tag1Comp() << 1)) & b.tagMask
 	if t.xform != nil {
 		idx, tag = t.xform(ti, pc, idx, tag)
-		idx &= t.masks[ti]
-		tag &= t.tagMasks[ti]
+		idx &= b.mask
+		tag &= b.tagMask
 	}
-	return idx, tag
+	return slot{pos: b.off + idx, tag: uint16(tag) | tagValid}
 }
 
-// lookup finds the provider (longest matching table) and the alternate
-// prediction.
+// lookupResult is what lookup found: the provider (longest matching
+// table) and the alternate prediction.
 type lookupResult struct {
-	provider    int // table index, -1 if none
-	providerIdx uint64
+	provider    int    // table index, -1 if none
+	providerPos uint64 // provider entry's position in the flat arrays
 	altPred     bool
 	altFromBase bool
 	providerNew bool // provider entry looks newly allocated
 	tagePred    bool
-	baseIdx     uint64
 }
 
+// lookup walks the tables from the longest history down, recording each
+// visited table's entry in t.slots. It stops once it has both the provider
+// and the alternate, so every table above the provider is always recorded.
 func (t *Tage) lookup(pc uint64, hs *History) lookupResult {
 	res := lookupResult{provider: -1}
 	altSet := false
-	for ti := len(t.tables) - 1; ti >= 0; ti-- {
-		idx, tag := t.index(ti, pc, hs)
-		e := &t.tables[ti][idx]
-		if e.valid && e.tag == uint16(tag) {
+	banks := t.banks
+	slots := t.slots[:len(banks)] // same length as banks: no bounds checks below
+	for ti := len(banks) - 1; ti >= 0; ti-- {
+		s := t.index(ti, &banks[ti], pc, hs)
+		slots[ti] = s
+		if t.tagv[s.pos] == s.tag {
 			if res.provider == -1 {
 				res.provider = ti
-				res.providerIdx = idx
-				res.providerNew = e.u == 0 && (e.ctr == 0 || e.ctr == -1)
+				res.providerPos = s.pos
+				res.providerNew = t.u[s.pos] == 0 && weakCtr(t.ctr[s.pos])
 			} else if !altSet {
-				res.altPred = e.ctr >= 0
+				res.altPred = t.ctr[s.pos] >= 0
 				altSet = true
 			}
 		}
@@ -275,8 +298,7 @@ func (t *Tage) lookup(pc uint64, hs *History) lookupResult {
 		res.altFromBase = true
 	}
 	if res.provider >= 0 {
-		e := &t.tables[res.provider][res.providerIdx]
-		pred := e.ctr >= 0
+		pred := t.ctr[res.providerPos] >= 0
 		if res.providerNew && t.useAltOnNA >= 0 {
 			pred = res.altPred
 		}
@@ -299,8 +321,7 @@ func (t *Tage) Predict(pc uint64, hs *History) bool {
 		}
 	}
 	if t.sc != nil && res.provider >= 0 {
-		e := &t.tables[res.provider][res.providerIdx]
-		if weakCtr(e.ctr) {
+		if weakCtr(t.ctr[res.providerPos]) {
 			if scPred, use := t.sc.predict(pc, hs, pred); use {
 				pred = scPred
 			}
@@ -329,8 +350,7 @@ func (t *Tage) Access(pc uint64, taken bool, hs *History) bool {
 	scUsed := false
 	scPred := pred
 	if t.sc != nil && res.provider >= 0 && !finalIsLoop {
-		e := &t.tables[res.provider][res.providerIdx]
-		if weakCtr(e.ctr) {
+		if weakCtr(t.ctr[res.providerPos]) {
 			if sp, use := t.sc.predict(pc, hs, res.tagePred); use {
 				scPred = sp
 				scUsed = true
@@ -368,8 +388,8 @@ func (t *Tage) train(pc uint64, taken bool, hs *History, res lookupResult, scUse
 	}
 
 	if res.provider >= 0 {
-		e := &t.tables[res.provider][res.providerIdx]
-		provPred := e.ctr >= 0
+		ctr, u := &t.ctr[res.providerPos], &t.u[res.providerPos]
+		provPred := *ctr >= 0
 
 		// useAltOnNA bookkeeping: learn whether fresh entries beat the
 		// alternate prediction.
@@ -387,16 +407,16 @@ func (t *Tage) train(pc uint64, taken bool, hs *History, res lookupResult, scUse
 		if provPred != res.altPred {
 			maxU := uint8(1)<<uint(t.cfg.Tables[res.provider].UBits) - 1
 			if provPred == taken {
-				if e.u < maxU {
-					e.u++
+				if *u < maxU {
+					*u++
 				}
-			} else if e.u > 0 {
-				e.u--
+			} else if *u > 0 {
+				*u--
 			}
 		}
 
 		// Train the provider counter.
-		e.ctr = satUpdate(e.ctr, taken)
+		*ctr = satUpdate(*ctr, taken)
 
 		// Train the base when it supplied the alternate for a fresh entry,
 		// keeping the fallback warm.
@@ -405,12 +425,12 @@ func (t *Tage) train(pc uint64, taken bool, hs *History, res lookupResult, scUse
 		}
 
 		if res.tagePred != taken {
-			t.allocate(pc, taken, hs, res.provider)
+			t.allocate(taken, res.provider)
 		}
 	} else {
 		t.base.Update(pc, taken)
 		if res.tagePred != taken {
-			t.allocate(pc, taken, hs, -1)
+			t.allocate(taken, -1)
 		}
 	}
 
@@ -423,37 +443,35 @@ func (t *Tage) train(pc uint64, taken bool, hs *History, res lookupResult, scUse
 // allocate tries to claim an entry in a table with longer history than the
 // provider, per the TAGE allocation rule: pick among u==0 candidates
 // (randomized start to avoid ping-pong), and on total failure decay the
-// candidates' useful counters.
-func (t *Tage) allocate(pc uint64, taken bool, hs *History, provider int) {
+// candidates' useful counters. The candidates are the entries lookup just
+// recorded: it visited every table above the provider, the history has not
+// moved since, and the index transform is a pure function of its inputs.
+func (t *Tage) allocate(taken bool, provider int) {
+	slots := t.slots
 	start := provider + 1
-	if start >= len(t.tables) {
+	if start >= len(slots) {
 		return
 	}
 	// Random skip of up to 2 tables decorrelates allocation storms.
 	start += t.rand.Intn(3)
-	if start >= len(t.tables) {
-		start = len(t.tables) - 1
+	if start >= len(slots) {
+		start = len(slots) - 1
 	}
-	for ti := start; ti < len(t.tables); ti++ {
-		idx, tag := t.index(ti, pc, hs)
-		e := &t.tables[ti][idx]
-		if e.u == 0 {
-			e.tag = uint16(tag)
-			e.valid = true
+	for _, s := range slots[start:] {
+		if t.u[s.pos] == 0 {
+			t.tagv[s.pos] = s.tag
 			if taken {
-				e.ctr = 0
+				t.ctr[s.pos] = 0
 			} else {
-				e.ctr = -1
+				t.ctr[s.pos] = -1
 			}
 			t.stats.Allocations++
 			return
 		}
 	}
-	for ti := provider + 1; ti < len(t.tables); ti++ {
-		idx, _ := t.index(ti, pc, hs)
-		e := &t.tables[ti][idx]
-		if e.u > 0 {
-			e.u--
+	for _, s := range slots[provider+1:] {
+		if t.u[s.pos] > 0 {
+			t.u[s.pos]--
 		}
 	}
 	t.stats.AllocFailures++
@@ -463,10 +481,8 @@ func (t *Tage) allocate(pc uint64, taken bool, hs *History, provider int) {
 // be reclaimed (the paper's predictor uses periodic u reset; graceful
 // halving behaves equivalently at our simulation scales).
 func (t *Tage) ageUseful() {
-	for ti := range t.tables {
-		for i := range t.tables[ti] {
-			t.tables[ti][i].u >>= 1
-		}
+	for i := range t.u {
+		t.u[i] >>= 1
 	}
 }
 
@@ -487,11 +503,9 @@ func satUpdate(c int8, taken bool) int8 {
 // base predictor; HyBP's key change makes tagged state unreachable while
 // the physically isolated base is swapped separately.
 func (t *Tage) FlushTagged() {
-	for ti := range t.tables {
-		for i := range t.tables[ti] {
-			t.tables[ti][i] = tagEntry{}
-		}
-	}
+	clear(t.tagv)
+	clear(t.ctr)
+	clear(t.u)
 	if t.sc != nil {
 		t.sc.flush()
 	}
@@ -525,7 +539,7 @@ func (t *Tage) StorageBits() int {
 }
 
 // NumTables returns the number of tagged tables.
-func (t *Tage) NumTables() int { return len(t.tables) }
+func (t *Tage) NumTables() int { return len(t.banks) }
 
 // TableSpecs returns the tagged-table geometry.
 func (t *Tage) TableSpecs() []TableSpec { return t.cfg.Tables }

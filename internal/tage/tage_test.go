@@ -1,6 +1,7 @@
 package tage
 
 import (
+	"reflect"
 	"testing"
 
 	"hybp/internal/rng"
@@ -25,6 +26,47 @@ func TestHistoryBuffer(t *testing.T) {
 		if h.Bit(i) != 0 {
 			t.Fatal("reset left bits set")
 		}
+	}
+}
+
+// foldedHistory is the reference fold: history of length origLen folded
+// (by XOR) into compLen bits, one value per fold. foldSet packs three of
+// these into lanes of one word; the tests check it against this.
+type foldedHistory struct {
+	comp     uint32
+	origLen  uint16
+	compLen  uint8
+	outPoint uint8
+}
+
+func newFolded(origLen, compLen int) foldedHistory {
+	return foldedHistory{
+		compLen:  uint8(compLen),
+		origLen:  uint16(origLen),
+		outPoint: uint8(origLen % compLen),
+	}
+}
+
+// shift folds in the newest history bit and folds out oldBit, the bit that
+// just fell off the end of this fold's original window.
+func (f *foldedHistory) shift(newBit, oldBit uint32) {
+	f.comp = (f.comp << 1) | newBit
+	f.comp ^= oldBit << f.outPoint
+	f.comp ^= f.comp >> f.compLen
+	f.comp &= (1 << f.compLen) - 1
+}
+
+// update shifts in the buffer's newest bit; call it after Push.
+func (f *foldedHistory) update(h *HistoryBuffer) {
+	f.shift(uint32(h.Bit(0)), uint32(h.Bit(int(f.origLen))))
+}
+
+// reset recomputes the fold from scratch over the buffer.
+func (f *foldedHistory) reset(h *HistoryBuffer) {
+	f.comp = 0
+	for i := int(f.origLen) - 1; i >= 0; i-- {
+		f.comp = (f.comp << 1) | uint32(h.Bit(i))
+		f.comp = (f.comp ^ (f.comp >> f.compLen)) & (1<<f.compLen - 1)
 	}
 }
 
@@ -90,14 +132,35 @@ func TestFoldSetMatchesFoldedHistory(t *testing.T) {
 					refs[0].comp, refs[1].comp, refs[2].comp)
 			}
 		}
-		// reset must agree with the incremental state on a cleared buffer.
-		h.Reset()
-		fs.reset(h)
-		for i := range refs {
-			refs[i].reset(h)
+	}
+}
+
+// TestHistoryResetMatchesFresh pins the O(1) reset: after arbitrary
+// updates, Reset leaves a History field-for-field equal to a fresh one, and
+// the reference fold recomputed over the cleared buffer reads 0 in every
+// lane, which is what Reset stores without recomputing.
+func TestHistoryResetMatchesFresh(t *testing.T) {
+	for _, cfg := range []Config{DefaultConfig(1), SmallConfig(1)} {
+		p := New(cfg)
+		hs := p.NewHistory()
+		r := rng.New(17)
+		for i := 0; i < 5000; i++ {
+			hs.Update(r.Uint64(), r.Bool(0.5))
 		}
-		if fs.idxComp() != uint64(refs[0].comp) || fs.tag0Comp() != uint64(refs[1].comp) {
-			t.Fatalf("geom %+v: reset diverged", g)
+		hs.Reset()
+		if fresh := p.NewHistory(); !reflect.DeepEqual(hs, fresh) {
+			t.Fatalf("%d tables: reset history differs from a fresh one", len(cfg.Tables))
+		}
+		for i, f := range hs.folds {
+			for lane, compLen := range [3]uint8{f.cIdx, f.cTag0, f.cTag1} {
+				ref := newFolded(int(f.origLen), int(compLen))
+				ref.reset(hs.ghr)
+				got := f.packed >> (foldLaneBits * uint(lane)) & (1<<foldLaneBits - 1)
+				if ref.comp != 0 || got != 0 {
+					t.Fatalf("table %d lane %d: fold %#x, recomputed over the cleared buffer %#x, want 0",
+						i, lane, got, ref.comp)
+				}
+			}
 		}
 	}
 }
