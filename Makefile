@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet lint build test race bench benchsmoke perfbench-build perfbench-check profile record serve loadtest chaos chaossmoke cluster-smoke trace-smoke journal-smoke
+.PHONY: ci fmt vet lint build test race fuzz-smoke bench benchsmoke perfbench-build perfbench-check profile record serve loadtest chaos chaossmoke cluster-smoke trace-smoke journal-smoke
 
 # ci is the full gate: static checks (gofmt, go vet plus hybplint, the
 # project-specific analyzers for nil-safe handles, determinism, atomic
@@ -15,8 +15,9 @@ GO ?= go
 # SIGKILLed mid-sweep, restarted on the same -journal) so crash recovery
 # keeps losing nothing. perfbench-build compiles the benchmark module,
 # which the root go build cannot see, and perfbench-check runs its three
-# simulator workloads against their pinned output digests.
-ci: fmt vet lint build test race benchsmoke perfbench-build perfbench-check chaossmoke cluster-smoke trace-smoke journal-smoke
+# simulator workloads against their pinned output digests. fuzz-smoke
+# fuzzes the job-spec decoder cluster workers run on network input.
+ci: fmt vet lint build test race fuzz-smoke benchsmoke perfbench-build perfbench-check chaossmoke cluster-smoke trace-smoke journal-smoke
 
 # fmt fails when any Go file in the tree, the nested perfbench module
 # included, is not gofmt-clean; it lists the offenders.
@@ -41,9 +42,10 @@ test:
 	$(GO) test -shuffle=on ./...
 
 # race runs the race detector where concurrency lives. The sim package is
-# raced with -short: its harness-integration tests (runner_test.go) always
-# run and exercise the worker pool; the slow single-threaded shape tests
-# add nothing under the detector. The server and client packages are raced
+# raced with -short: its harness-integration tests (runner_test.go,
+# table3_test.go and TestGoldenDigestTable3, which runs Table III's cells
+# concurrently) always run and exercise the worker pool; the slow
+# single-threaded shape tests add nothing under the detector. The server and client packages are raced
 # in full — the client test suite hammers one server with concurrent
 # closed-loop clients, which is exactly what the detector should watch.
 race:
@@ -55,6 +57,13 @@ race:
 	$(GO) test -race -short ./internal/sim/...
 	$(GO) test -race -short ./internal/cluster/...
 	$(GO) test -race ./internal/server/...
+
+# fuzz-smoke fuzzes sim's job-spec decoder (the bytes a cluster worker
+# reads off the network) for ten seconds past its seed corpus in
+# internal/sim/testdata/fuzz: no input may panic it, and every accepted
+# spec must re-encode to canonical bytes that decode to the same spec.
+fuzz-smoke:
+	$(GO) test ./internal/sim/ -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime 10s
 
 # chaos is the fault-injection gate: hybpexp -scale tiny under a pinned
 # seeded fault schedule (worker panics, transient errors, cache corruption,
@@ -92,14 +101,15 @@ serve:
 loadtest:
 	$(GO) run ./cmd/hybpload -addr http://127.0.0.1:8080 -clients 8 -n 64
 
-# bench regenerates BENCH_PR8.json: full micro-benchmarks (median of 3 runs
-# each, diffed against the pinned PR-7 report first, so the regression table
-# is part of the run) plus a timed cold/warm `hybpexp -scale quick all` run
-# with an output digest. The report's baseline block (cold seconds, StepHyBP
-# ns/op) is read from BENCH_PR7.json. Takes minutes; run on an otherwise
-# idle machine or the wall-clock is noise.
+# bench writes BENCH_PR16.json: full micro-benchmarks (median of 3 runs
+# each, diffed against the pinned BENCH_PR8.json report first, so the
+# regression table is part of the run) plus a timed cold/warm
+# `hybpexp -scale quick all` run with an output digest. The report's
+# baseline block (cold seconds, StepHyBP ns/op) is read from BENCH_PR8.json,
+# which stays as recorded. Takes minutes; run on an otherwise idle machine
+# or the wall-clock is noise.
 bench:
-	$(GO) run ./cmd/hybpbench -out BENCH_PR8.json -baseline BENCH_PR7.json
+	$(GO) run ./cmd/hybpbench -out BENCH_PR16.json -baseline BENCH_PR8.json
 
 # benchsmoke compiles and runs every benchmark for exactly one iteration
 # and skips the experiment timing — the cheap CI gate.

@@ -234,15 +234,16 @@ func main() {
 	defer out.Flush()
 	enc := json.NewEncoder(out)
 
-	run := func(name string) {
+	// run renders one experiment. Every name was validated above, so an
+	// error is a job that exhausted its retries.
+	run := func(name string) error {
 		start := time.Now()
 		if !*jsonOut {
 			fmt.Fprintf(out, "=== %s (scale %s, %d apps, %d mixes, -j %d) ===\n", name, *scaleName, len(benches), len(mixes), *jobs)
 		}
 		res, err := r.Experiment(name, sc, benches, mixes)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n%s\n", err, usage)
-			os.Exit(2)
+			return err
 		}
 		if *jsonOut {
 			if err := enc.Encode(jsonRecord{
@@ -256,11 +257,12 @@ func main() {
 				os.Exit(1)
 			}
 			flush(out)
-			return
+			return nil
 		}
 		res.Print(out)
 		fmt.Fprintf(out, "(%s in %s)\n\n", name, time.Since(start).Round(time.Millisecond))
 		flush(out)
+		return nil
 	}
 
 	// dumpTrace closes the sweep span and writes the Chrome trace; called on
@@ -288,11 +290,14 @@ func main() {
 	}
 
 	for _, name := range names {
-		run(name)
 		// A job that exhausted its retries produced a zero-value point; the
 		// rendered experiment is wrong. Fail loudly rather than emit it as
 		// if it were science.
-		if err := h.FirstErr(); err != nil {
+		err := run(name)
+		if err == nil {
+			err = h.FirstErr()
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: job failed after retries: %v\n", name, err)
 			dumpTrace()
 			printStats(h, coord, *stats)

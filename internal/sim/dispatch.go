@@ -78,7 +78,10 @@ func ParseMechanism(name string) (MechanismID, error) {
 // shared per-experiment defaults (Table III's 200 iterations, Figure 8's
 // overhead sweep, the quadratic sweeps' four-benchmark cap). nil benches
 // and mixes select the paper's full sets. Unknown names are an error, not
-// a panic, so servers can surface them to remote clients.
+// a panic, so servers can surface them to remote clients; so is a failed
+// Table III cell, whose zero result would otherwise read as "Defend".
+// Other experiments render failed points as zeros and leave the failure
+// to the harness's FirstErr.
 func (r *Runner) Experiment(name string, sc Scale, benches []string, mixes []workload.Mix) (Printable, error) {
 	if len(benches) == 0 {
 		benches = workload.FigureApps()
@@ -90,7 +93,11 @@ func (r *Runner) Experiment(name string, sc Scale, benches []string, mixes []wor
 	case "table1":
 		return r.Table1(sc, benches, mixes), nil
 	case "table3":
-		return Table3(Table3Config{Iterations: 200, Seed: sc.Seed}), nil
+		t, err := r.Table3(Table3Config{Iterations: 200, Seed: sc.Seed})
+		if err != nil {
+			return nil, err
+		}
+		return t, nil
 	case "table6":
 		return r.Table6(sc, capN(benches, 4), nil), nil
 	case "fig2":
@@ -115,25 +122,74 @@ func (r *Runner) Experiment(name string, sc Scale, benches []string, mixes []wor
 	return nil, fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(ExperimentNames(), ", "))
 }
 
-// ExecutePoint decodes one canonical PointSpec off the wire and runs it,
-// returning the result's JSON encoding — the cluster worker's execution
-// entry point. Because a point is a pure function of its spec (seeds
-// derive from RootSeed and benchmark names, never from scheduling), the
-// returned bytes are identical to what the coordinator would have produced
-// executing the same point in-process; the work API's checksum envelope
-// and the disk cache both bind exactly these bytes.
+// ExecutePoint decodes one canonical spec off the wire — a PointSpec or a
+// Table III PoCSpec, told apart by Kind — and runs it, returning the
+// result's JSON encoding: the cluster worker's execution entry point.
+// Because a job is a pure function of its spec (seeds derive from the
+// spec's root seed and names, never from scheduling), the returned bytes
+// are identical to what the coordinator would have produced executing the
+// same job in-process; the work API's checksum envelope and the disk cache
+// both bind exactly these bytes.
 func ExecutePoint(spec json.RawMessage) (json.RawMessage, error) {
-	var sp PointSpec
-	if err := json.Unmarshal(spec, &sp); err != nil {
-		return nil, fmt.Errorf("sim: bad point spec: %w", err)
+	j, err := decodeSpec(spec)
+	if err != nil {
+		return nil, err
+	}
+	return j.execute()
+}
+
+// wireSpec is a decoded, validated spec ready to run.
+type wireSpec interface {
+	// canon is the spec's canonical JSON encoding.
+	canon() []byte
+	// execute runs the job and encodes its result.
+	execute() (json.RawMessage, error)
+}
+
+// decodeSpec is ExecutePoint's decode-and-validate step. Remote workers
+// read specs off the network, so every malformed or unknown spec is a
+// *SpecError, never a panic in the simulator.
+func decodeSpec(raw json.RawMessage) (wireSpec, error) {
+	var head struct{ Kind string }
+	if err := json.Unmarshal(raw, &head); err != nil {
+		return nil, specErrorf("bad point spec: %v", err)
+	}
+	if head.Kind == PointPoC {
+		return decodeAs[PoCSpec](raw)
+	}
+	return decodeAs[PointSpec](raw)
+}
+
+func decodeAs[T interface {
+	wireSpec
+	validate() error
+}](raw json.RawMessage) (wireSpec, error) {
+	var sp T
+	if err := json.Unmarshal(raw, &sp); err != nil {
+		return nil, specErrorf("bad point spec: %v", err)
 	}
 	if err := sp.validate(); err != nil {
 		return nil, err
 	}
+	return sp, nil
+}
+
+func (sp PointSpec) execute() (json.RawMessage, error) {
 	if sp.Kind == PointSMT {
 		return json.Marshal(sp.run())
 	}
 	return json.Marshal(sp.runThread())
+}
+
+func (c PoCSpec) execute() (json.RawMessage, error) { return json.Marshal(c.run()) }
+
+// SpecError reports a job spec that does not decode or cannot run.
+type SpecError struct{ msg string }
+
+func (e *SpecError) Error() string { return "sim: " + e.msg }
+
+func specErrorf(format string, args ...any) error {
+	return &SpecError{msg: fmt.Sprintf(format, args...)}
 }
 
 // costPrintable adapts the hardware-cost report to Printable. The

@@ -146,10 +146,28 @@ const (
 
 // canon is the spec's canonical JSON encoding — the payload of a cluster
 // work item and the bytes the job key is hashed over.
-func (sp PointSpec) canon() []byte {
-	b, err := json.Marshal(sp)
+func (sp PointSpec) canon() []byte { return mustMarshal(sp) }
+
+// key is the point's content address: a human-readable prefix naming the
+// kind, benchmarks, mechanism and interval, then the spec's hash.
+func (sp PointSpec) key() string {
+	var prefix string
+	switch sp.Kind {
+	case PointSMT:
+		prefix = fmt.Sprintf("smt-%s+%s-%s-iv%s", sp.A, sp.B, sp.Mech.tag(), fmtInterval(sp.Interval))
+	case PointSolo:
+		prefix = fmt.Sprintf("solo-%s-%s", sp.Bench, sp.Mech.tag())
+	default:
+		prefix = fmt.Sprintf("single-%s-%s-iv%s", sp.Bench, sp.Mech.tag(), fmtInterval(sp.Interval))
+	}
+	return harness.Key(prefix, sp)
+}
+
+// mustMarshal is the canonical JSON encoding of a spec struct.
+func mustMarshal(spec any) []byte {
+	b, err := json.Marshal(spec)
 	if err != nil {
-		panic("sim: unmarshalable point spec: " + err.Error())
+		panic("sim: unmarshalable spec: " + err.Error())
 	}
 	return b
 }
@@ -191,24 +209,24 @@ func (sp PointSpec) validate() error {
 	switch sp.Kind {
 	case PointSingle, PointSolo:
 		if !workload.Has(sp.Bench) {
-			return fmt.Errorf("sim: unknown benchmark %q", sp.Bench)
+			return specErrorf("unknown benchmark %q", sp.Bench)
 		}
 	case PointSMT:
 		if !workload.Has(sp.A) {
-			return fmt.Errorf("sim: unknown benchmark %q", sp.A)
+			return specErrorf("unknown benchmark %q", sp.A)
 		}
 		if !workload.Has(sp.B) {
-			return fmt.Errorf("sim: unknown benchmark %q", sp.B)
+			return specErrorf("unknown benchmark %q", sp.B)
 		}
 	default:
-		return fmt.Errorf("sim: unknown point kind %q (valid: %s, %s, %s)",
-			sp.Kind, PointSingle, PointSMT, PointSolo)
+		return specErrorf("unknown point kind %q (valid: %s, %s, %s, %s)",
+			sp.Kind, PointSingle, PointSMT, PointSolo, PointPoC)
 	}
 	if _, err := ParseMechanism(string(sp.Mech.ID)); err != nil && !sp.Mech.Tournament {
-		return fmt.Errorf("sim: %w", err)
+		return specErrorf("%v", err)
 	}
 	if sp.Cycles == 0 || sp.Warmup >= sp.Cycles {
-		return fmt.Errorf("sim: bad cycle budget (cycles=%d, warmup=%d)", sp.Cycles, sp.Warmup)
+		return specErrorf("bad cycle budget (cycles=%d, warmup=%d)", sp.Cycles, sp.Warmup)
 	}
 	return nil
 }
@@ -243,8 +261,7 @@ func (r *Runner) SingleFE(sc Scale, bench string, m MechSpec, interval uint64, e
 		Kind: PointSingle, Bench: bench, Mech: m, Interval: interval,
 		ExtraFE: extraFE, Cycles: sc.MaxCycles, Warmup: sc.WarmupCycles, RootSeed: sc.Seed,
 	}
-	key := harness.Key(fmt.Sprintf("single-%s-%s-iv%s", bench, m.tag(), fmtInterval(interval)), spec)
-	return harness.SubmitSpec(r.h, key, spec.canon(), spec.runThread)
+	return harness.SubmitSpec(r.h, spec.key(), spec.canon(), spec.runThread)
 }
 
 // SMT schedules an SMT-2 measurement of a Table V mix on the given
@@ -254,8 +271,7 @@ func (r *Runner) SMT(sc Scale, mix workload.Mix, m MechSpec, interval uint64) ha
 		Kind: PointSMT, A: mix.A, B: mix.B, Mech: m, Interval: interval,
 		Cycles: sc.MaxCycles, Warmup: sc.WarmupCycles, RootSeed: sc.Seed,
 	}
-	key := harness.Key(fmt.Sprintf("smt-%s+%s-%s-iv%s", mix.A, mix.B, m.tag(), fmtInterval(interval)), spec)
-	return harness.SubmitSpec(r.h, key, spec.canon(), spec.run)
+	return harness.SubmitSpec(r.h, spec.key(), spec.canon(), spec.run)
 }
 
 // Solo schedules a lone, switch-free measurement of bench on the given
@@ -265,8 +281,7 @@ func (r *Runner) Solo(sc Scale, bench string, m MechSpec) harness.Future[pipelin
 		Kind: PointSolo, Bench: bench, Mech: m,
 		Cycles: sc.MaxCycles, Warmup: sc.WarmupCycles, RootSeed: sc.Seed,
 	}
-	key := harness.Key(fmt.Sprintf("solo-%s-%s", bench, m.tag()), spec)
-	return harness.SubmitSpec(r.h, key, spec.canon(), spec.runThread)
+	return harness.SubmitSpec(r.h, spec.key(), spec.canon(), spec.runThread)
 }
 
 // Versus runs one point on m and on the unprotected baseline over the
