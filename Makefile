@@ -58,12 +58,16 @@ race:
 	$(GO) test -race -short ./internal/cluster/...
 	$(GO) test -race ./internal/server/...
 
-# fuzz-smoke fuzzes sim's job-spec decoder (the bytes a cluster worker
-# reads off the network) for ten seconds past its seed corpus in
-# internal/sim/testdata/fuzz: no input may panic it, and every accepted
-# spec must re-encode to canonical bytes that decode to the same spec.
+# fuzz-smoke fuzzes the two decoders that read untrusted bytes, ten
+# seconds each past their seed corpora: sim's job-spec decoder (what a
+# cluster worker reads off the network; corpus in internal/sim/testdata/fuzz),
+# where every accepted spec must re-encode to canonical bytes that decode
+# to the same spec, and the HYBPTRC1 trace decoder (corpus in
+# internal/trace/testdata/fuzz), where every accepted stream must re-encode
+# to the same header and events. No input may panic either.
 fuzz-smoke:
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime 10s
+	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 10s
 
 # chaos is the fault-injection gate: hybpexp -scale tiny under a pinned
 # seeded fault schedule (worker panics, transient errors, cache corruption,
@@ -101,15 +105,16 @@ serve:
 loadtest:
 	$(GO) run ./cmd/hybpload -addr http://127.0.0.1:8080 -clients 8 -n 64
 
-# bench writes BENCH_PR16.json: full micro-benchmarks (median of 3 runs
+# bench writes BENCH_PR17.json: full micro-benchmarks (median of 3 runs
 # each, diffed against the pinned BENCH_PR8.json report first, so the
-# regression table is part of the run) plus a timed cold/warm
-# `hybpexp -scale quick all` run with an output digest. The report's
-# baseline block (cold seconds, StepHyBP ns/op) is read from BENCH_PR8.json,
-# which stays as recorded. Takes minutes; run on an otherwise idle machine
-# or the wall-clock is noise.
+# regression table is part of the run) plus a timed cold `hybpexp -scale
+# quick all` at -j 1 and again at -j 2 (the -j 2 output must digest to the
+# same FNV) and a warm rerun. The report's baseline block (cold seconds,
+# StepHyBP ns/op) is read from BENCH_PR8.json, which stays as recorded.
+# Takes minutes; run on an otherwise idle machine or the wall-clock is
+# noise.
 bench:
-	$(GO) run ./cmd/hybpbench -out BENCH_PR16.json -baseline BENCH_PR8.json
+	$(GO) run ./cmd/hybpbench -out BENCH_PR17.json -baseline BENCH_PR8.json
 
 # benchsmoke compiles and runs every benchmark for exactly one iteration
 # and skips the experiment timing — the cheap CI gate.

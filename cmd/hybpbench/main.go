@@ -1,13 +1,14 @@
 // Command hybpbench is the repo's perf-tracking harness: it runs the
-// per-package micro-benchmarks plus a timed cold (and optionally warm)
-// `hybpexp -scale quick all` run and emits a machine-readable JSON report
+// per-package micro-benchmarks plus timed cold `hybpexp -scale quick all`
+// runs at -j 1 and -j 2 and a warm rerun, and emits a machine-readable JSON report
 // (BENCH_PR3.json) so performance across PRs is a recorded artifact, not
 // folklore.
 //
 // Modes:
 //
 //	hybpbench -out BENCH_PR3.json            full run: benchmarks at -benchtime,
-//	                                         then cold+warm hybpexp wall-clock
+//	                                         then cold (-j 1, -j 2) and warm
+//	                                         hybpexp wall-clock
 //	hybpbench -smoke                         1-iteration benchmarks only, no
 //	                                         experiment timing (the CI gate that
 //	                                         keeps bench code from rotting)
@@ -31,7 +32,8 @@
 // The experiment run is content-hashed (FNV-1a over the JSON output with
 // the wall-clock "seconds" fields stripped), so two reports are
 // bit-identical iff their digests match — the guard the PR-3 optimization
-// work was measured against.
+// work was measured against. The cold -j 2 run and the warm rerun must
+// match the cold -j 1 output, or the run fails.
 package main
 
 import (
@@ -88,12 +90,15 @@ type benchEntry struct {
 }
 
 type expTiming struct {
-	Command      string  `json:"command"`
-	ColdSeconds  float64 `json:"cold_seconds"`
-	WarmSeconds  float64 `json:"warm_seconds,omitempty"`
-	JobsExecuted int64   `json:"jobs_executed"`
-	JobsTotal    int64   `json:"jobs_submitted"`
-	OutputFNV    string  `json:"output_fnv"`
+	Command     string  `json:"command"`
+	ColdSeconds float64 `json:"cold_seconds"`
+	// ColdJ2Seconds times the same cold run at -j 2 (absent in reports
+	// that predate it).
+	ColdJ2Seconds float64 `json:"cold_j2_seconds,omitempty"`
+	WarmSeconds   float64 `json:"warm_seconds,omitempty"`
+	JobsExecuted  int64   `json:"jobs_executed"`
+	JobsTotal     int64   `json:"jobs_submitted"`
+	OutputFNV     string  `json:"output_fnv"`
 }
 
 // baseline records the earlier measurements the current numbers are
@@ -400,8 +405,10 @@ var secondsField = regexp.MustCompile(`"seconds":[0-9.eE+-]+,`)
 // statsLine matches the final `-stats` record on stderr.
 var statsLine = regexp.MustCompile(`\{"stats":.*\}`)
 
-// runExperiment builds hybpexp, times a cold `-j 1` run (no cache) and a
-// warm re-run against a fresh cache directory, and digests the output.
+// runExperiment builds hybpexp, times a cold `-j 1` run (no cache), the
+// same cold run at `-j 2` and a warm re-run against a fresh cache
+// directory, and digests the output; every run must print what the cold
+// `-j 1` run printed.
 func runExperiment(scale string, seed uint64) (*expTiming, error) {
 	tmp, err := os.MkdirTemp("", "hybpbench")
 	if err != nil {
@@ -414,10 +421,13 @@ func runExperiment(scale string, seed uint64) (*expTiming, error) {
 		return nil, fmt.Errorf("build: %v\n%s", err, out)
 	}
 
-	args := []string{
-		"-scale", scale, "-seed", strconv.FormatUint(seed, 10),
-		"-j", "1", "-progress=false", "-json", "-stats",
+	argsAt := func(workers string) []string {
+		return []string{
+			"-scale", scale, "-seed", strconv.FormatUint(seed, 10),
+			"-j", workers, "-progress=false", "-json", "-stats",
+		}
 	}
+	args := argsAt("1")
 	et := &expTiming{Command: "hybpexp " + strings.Join(args, " ") + " all"}
 
 	// Cold: no cache directory, every job simulates.
@@ -427,9 +437,7 @@ func runExperiment(scale string, seed uint64) (*expTiming, error) {
 	}
 	et.ColdSeconds = coldDur.Seconds()
 	norm := secondsField.ReplaceAll(coldOut, nil)
-	h := fnv.New64a()
-	h.Write(norm)
-	et.OutputFNV = fmt.Sprintf("%016x", h.Sum64())
+	et.OutputFNV = fnvHex(norm)
 	if m := statsLine.Find(coldErr); m != nil {
 		var rec struct {
 			Stats struct {
@@ -441,6 +449,16 @@ func runExperiment(scale string, seed uint64) (*expTiming, error) {
 			et.JobsExecuted = rec.Stats.Executed
 			et.JobsTotal = rec.Stats.Submitted
 		}
+	}
+
+	// Cold again on two workers: same jobs, same output.
+	j2Out, j2Err, j2Dur, err := timedRun(bin, append(argsAt("2"), "all")...)
+	if err != nil {
+		return nil, fmt.Errorf("cold -j 2 run: %v\n%s", err, j2Err)
+	}
+	et.ColdJ2Seconds = j2Dur.Seconds()
+	if got := fnvHex(secondsField.ReplaceAll(j2Out, nil)); got != et.OutputFNV {
+		return nil, fmt.Errorf("cold -j 2 output FNV %s differs from -j 1's %s", got, et.OutputFNV)
 	}
 
 	// Warm: populate a cache dir, then re-run against it.
@@ -458,6 +476,13 @@ func runExperiment(scale string, seed uint64) (*expTiming, error) {
 		return nil, fmt.Errorf("warm-cache output differs from cold output (cache corruption?)")
 	}
 	return et, nil
+}
+
+// fnvHex is the report's output digest: FNV-1a 64 of b, in hex.
+func fnvHex(b []byte) string {
+	h := fnv.New64a()
+	h.Write(b)
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 func timedRun(bin string, args ...string) (stdout, stderr []byte, d time.Duration, err error) {

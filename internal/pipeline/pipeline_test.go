@@ -71,6 +71,26 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestFlushWithoutFlushingMatchesBaseline pins, at the pipeline level,
+// a relation that holds by construction: secure.Flush with both flush
+// triggers off builds and accesses the same predictor as the baseline and
+// resets the same history on a switch, so one single-thread point with
+// context switches and timer-driven privilege changes must measure the
+// same ThreadResult on both.
+func TestFlushWithoutFlushingMatchesBaseline(t *testing.T) {
+	cfg := secure.Config{Threads: 1, Seed: 5}
+	fl := secure.NewFlush(cfg)
+	fl.FlushOnPrivilege, fl.FlushOnContext = false, false
+	got := runOne(fl, "gcc", 500_000, 2_000_000).Threads[0]
+	want := runOne(secure.NewBaseline(cfg), "gcc", 500_000, 2_000_000).Threads[0]
+	if got != want {
+		t.Fatalf("Flush with no flushing %+v, Baseline %+v", got, want)
+	}
+	if got.Switches == 0 || got.PrivChanges == 0 {
+		t.Fatalf("point had %d switches and %d privilege changes; want both", got.Switches, got.PrivChanges)
+	}
+}
+
 func TestMispredictionsCostCycles(t *testing.T) {
 	// Same trace, larger penalty ⇒ lower IPC.
 	run := func(pen int) float64 {

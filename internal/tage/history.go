@@ -19,41 +19,46 @@ package tage
 
 // HistoryBuffer is a circular global-history bit buffer. Bit 0 is the most
 // recent outcome.
+//
+// The ring is stored twice over: every bit is written at pos and at
+// pos+size, so the size bits from the newest backwards are always the one
+// contiguous slice bits[pos:pos+size] and reading them never wraps.
 type HistoryBuffer struct {
-	bits []byte
-	pos  int // index of the most recent bit
+	bits []byte // 2*size: bits[i] == bits[i+size] for every i < size
+	pos  int    // index of the most recent bit, in [0, size)
 	size int
 }
 
 // NewHistoryBuffer returns a buffer holding size bits, all zero.
 func NewHistoryBuffer(size int) *HistoryBuffer {
-	return &HistoryBuffer{bits: make([]byte, size), size: size}
+	return &HistoryBuffer{bits: make([]byte, 2*size), size: size}
 }
 
 // Push records a new most-recent bit.
 func (h *HistoryBuffer) Push(taken bool) {
-	h.pos--
-	if h.pos < 0 {
-		h.pos = h.size - 1
-	}
+	var b byte
 	if taken {
-		h.bits[h.pos] = 1
-	} else {
-		h.bits[h.pos] = 0
+		b = 1
 	}
+	h.push(b)
+}
+
+// push records bit b (0 or 1) as the most recent and returns the window
+// of the size most recent bits, newest first.
+func (h *HistoryBuffer) push(b byte) []byte {
+	pos, size, bits := h.pos-1, h.size, h.bits
+	if pos < 0 {
+		pos = size - 1
+	}
+	h.pos = pos
+	bits[pos] = b
+	bits[pos+size] = b
+	return bits[pos : pos+size]
 }
 
 // Bit returns the i-th most recent bit (0 = newest). i must be in
-// [0, Size()); every folded window is shorter than the buffer, so the
-// wrap never needs a full modulo (which would cost a divide on the
-// hottest path of the whole simulator).
-func (h *HistoryBuffer) Bit(i int) byte {
-	j := h.pos + i
-	if j >= h.size {
-		j -= h.size
-	}
-	return h.bits[j]
-}
+// [0, Size()).
+func (h *HistoryBuffer) Bit(i int) byte { return h.bits[h.pos+i] }
 
 // Size returns the buffer capacity in bits.
 func (h *HistoryBuffer) Size() int { return h.size }
@@ -84,9 +89,11 @@ type foldSet struct {
 	cTag1    uint8  // compLen of the tag-1 lane
 }
 
-// foldLaneBits is the lane spacing; foldLaneLSB has a 1 in each lane's LSB.
+// foldLaneBits is the lane spacing; foldLaneMask covers one lane and
+// foldLaneLSB has a 1 in each lane's LSB.
 const (
 	foldLaneBits = 24
+	foldLaneMask = 1<<foldLaneBits - 1
 	foldLaneLSB  = 1 | 1<<foldLaneBits | 1<<(2*foldLaneBits)
 )
 
@@ -107,21 +114,23 @@ func newFoldSet(origLen, idxBits, tagBits int) foldSet {
 // Per lane this is exactly the reference fold's shift: shift-in, XOR the
 // outgoing bit at outPoint, fold the overflow bit (comp >> compLen, which
 // is a single bit because a lane holds ≤ compLen+1 bits here) back into
-// the LSB, then mask to compLen. Cross-lane garbage from the per-lane fold
-// shifts lands above each comp mask and is cleared by the final AND.
+// the LSB, then mask to compLen. The three overflow bits sit at distinct
+// positions above every lane's LSB, so all three fold-backs read the same
+// shifted-in value. Cross-lane garbage from the per-lane fold shifts lands
+// above each comp mask and is cleared by the final AND. The shift counts
+// are masked with 63 (a no-op: every compLen is below 24) so they compile
+// to bare shifts.
 func (f *foldSet) shift(newBit, oldBit uint64) {
-	p := f.packed<<1 | newBit*foldLaneLSB
+	p := f.packed<<1 | (-newBit)&foldLaneLSB
 	p ^= (-oldBit) & f.outMask
-	p ^= (p >> f.cIdx) & 1
-	p ^= (p >> f.cTag0) & (1 << foldLaneBits)
-	p ^= (p >> f.cTag1) & (1 << (2 * foldLaneBits))
+	p ^= p>>(f.cIdx&63)&1 |
+		p>>(f.cTag0&63)&(1<<foldLaneBits) |
+		p>>(f.cTag1&63)&(1<<(2*foldLaneBits))
 	f.packed = p & f.compMask
 }
 
-// Lane accessors for index computation.
-func (f *foldSet) idxComp() uint64  { return f.packed & (1<<foldLaneBits - 1) }
-func (f *foldSet) tag0Comp() uint64 { return f.packed >> foldLaneBits & (1<<foldLaneBits - 1) }
-func (f *foldSet) tag1Comp() uint64 { return f.packed >> (2 * foldLaneBits) }
+// idxComp is the index lane, which the statistical corrector also reads.
+func (f *foldSet) idxComp() uint64 { return f.packed & foldLaneMask }
 
 // History is the per-hardware-thread speculation history consumed by a Tage
 // instance: the global history register, a path history, and the folded
@@ -138,21 +147,21 @@ type History struct {
 //
 // The newest bit is the outcome just pushed, shared by every fold; the
 // outgoing bit depends only on the window length, which the three lanes of
-// a table's foldSet share — so each table costs one buffer read and one
-// lane-parallel shift. This loop is the hottest in the simulator (the
-// folds are two thirds of TAGE time); keep it free of bounds checks and
-// divisions.
+// a table's foldSet share — so each table costs one read of the pushed
+// window and one lane-parallel shift. This loop is the hottest in the
+// simulator after the lookup; keep it free of wrap checks, divisions and
+// per-table reloads of the buffer.
 func (hs *History) Update(pc uint64, taken bool) {
-	hs.ghr.Push(taken)
-	hs.path = (hs.path << 1) | ((pc >> 2) & 1)
 	var newBit uint64
 	if taken {
 		newBit = 1
 	}
+	win := hs.ghr.push(byte(newBit))
+	hs.path = (hs.path << 1) | ((pc >> 2) & 1)
 	folds := hs.folds
 	for i := range folds {
-		oldBit := uint64(hs.ghr.Bit(int(folds[i].origLen)))
-		folds[i].shift(newBit, oldBit)
+		f := &folds[i]
+		f.shift(newBit, uint64(win[f.origLen]))
 	}
 }
 

@@ -9,9 +9,12 @@ import (
 
 // refTage is the array-of-structs tagged-table predictor the flat banks
 // replaced, kept as a differential reference: one slice of 6-byte entries
-// per table, and an allocation that recomputes every table's index. Its
+// per table, a per-table index function, and an allocation that
+// recomputes every table's index. It keeps its own history (refHistory),
+// so the history buffer and the packed folds are checked too. Its
 // statistical corrector, loop predictor and bimodal base are the package's
-// own, so a divergence from Tage can only come from the tagged tables.
+// own, so a divergence from Tage can only come from the tagged tables or
+// the history that indexes them.
 type refTage struct {
 	cfg      Config
 	tables   [][]refEntry
@@ -69,11 +72,11 @@ func newRef(cfg Config) *refTage {
 	return t
 }
 
-func (t *refTage) index(ti int, pc uint64, hs *History) (uint64, uint64) {
+func (t *refTage) index(ti int, pc uint64, hs *refHistory) (uint64, uint64) {
 	f := &hs.folds[ti]
-	idx := (pc >> 1) ^ (pc >> uint(1+ti)) ^ f.idxComp() ^ (hs.path & 0x3F)
+	idx := (pc >> 1) ^ (pc >> uint(1+ti)) ^ uint64(f[0].comp) ^ (hs.path & 0x3F)
 	idx &= t.masks[ti]
-	tag := ((pc >> 1) ^ f.tag0Comp() ^ (f.tag1Comp() << 1)) & t.tagMasks[ti]
+	tag := ((pc >> 1) ^ uint64(f[1].comp) ^ (uint64(f[2].comp) << 1)) & t.tagMasks[ti]
 	if t.xform != nil {
 		idx, tag = t.xform(ti, pc, idx, tag)
 		idx &= t.masks[ti]
@@ -82,7 +85,7 @@ func (t *refTage) index(ti int, pc uint64, hs *History) (uint64, uint64) {
 	return idx, tag
 }
 
-func (t *refTage) lookup(pc uint64, hs *History) refLookup {
+func (t *refTage) lookup(pc uint64, hs *refHistory) refLookup {
 	res := refLookup{provider: -1}
 	altSet := false
 	for ti := len(t.tables) - 1; ti >= 0; ti-- {
@@ -119,7 +122,7 @@ func (t *refTage) lookup(pc uint64, hs *History) refLookup {
 	return res
 }
 
-func (t *refTage) Predict(pc uint64, hs *History) bool {
+func (t *refTage) Predict(pc uint64, hs *refHistory) bool {
 	res := t.lookup(pc, hs)
 	pred := res.tagePred
 	if t.loop != nil {
@@ -130,7 +133,7 @@ func (t *refTage) Predict(pc uint64, hs *History) bool {
 	if t.sc != nil && res.provider >= 0 {
 		e := &t.tables[res.provider][res.providerIdx]
 		if weakCtr(e.ctr) {
-			if scPred, use := t.sc.predict(pc, hs, pred); use {
+			if scPred, use := t.sc.predict(pc, hs.sc, pred); use {
 				pred = scPred
 			}
 		}
@@ -138,7 +141,7 @@ func (t *refTage) Predict(pc uint64, hs *History) bool {
 	return pred
 }
 
-func (t *refTage) Access(pc uint64, taken bool, hs *History) bool {
+func (t *refTage) Access(pc uint64, taken bool, hs *refHistory) bool {
 	t.stats.Predictions++
 	res := t.lookup(pc, hs)
 	pred := res.tagePred
@@ -155,7 +158,7 @@ func (t *refTage) Access(pc uint64, taken bool, hs *History) bool {
 	if t.sc != nil && res.provider >= 0 && !finalIsLoop {
 		e := &t.tables[res.provider][res.providerIdx]
 		if weakCtr(e.ctr) {
-			if sp, use := t.sc.predict(pc, hs, res.tagePred); use {
+			if sp, use := t.sc.predict(pc, hs.sc, res.tagePred); use {
 				scPred = sp
 				scUsed = true
 				if sp != pred {
@@ -174,16 +177,16 @@ func (t *refTage) Access(pc uint64, taken bool, hs *History) bool {
 		t.stats.Mispredictions++
 	}
 	t.train(pc, taken, hs, res, scUsed, scPred)
-	hs.Update(pc, taken)
+	hs.update(pc, taken)
 	return pred
 }
 
-func (t *refTage) train(pc uint64, taken bool, hs *History, res refLookup, scUsed bool, scPred bool) {
+func (t *refTage) train(pc uint64, taken bool, hs *refHistory, res refLookup, scUsed bool, scPred bool) {
 	if t.loop != nil {
 		t.loop.update(pc, taken, res.tagePred)
 	}
 	if t.sc != nil && scUsed {
-		t.sc.update(pc, hs, taken, scPred)
+		t.sc.update(pc, hs.sc, taken, scPred)
 	}
 	if res.provider >= 0 {
 		e := &t.tables[res.provider][res.providerIdx]
@@ -226,7 +229,7 @@ func (t *refTage) train(pc uint64, taken bool, hs *History, res refLookup, scUse
 	}
 }
 
-func (t *refTage) allocate(pc uint64, taken bool, hs *History, provider int) {
+func (t *refTage) allocate(pc uint64, taken bool, hs *refHistory, provider int) {
 	start := provider + 1
 	if start >= len(t.tables) {
 		return
@@ -288,19 +291,128 @@ func (t *refTage) Flush() {
 	t.useAltOnNA = 0
 }
 
-// refResetHistory is the history reset the O(1) one replaced: clear the
-// buffer and path, then rebuild every fold lane bit by bit from the
-// cleared buffer with the reference fold.
-func refResetHistory(hs *History) {
-	hs.ghr.Reset()
+// refRing is the modular ring buffer the doubled HistoryBuffer replaced:
+// one copy of each bit, and a read that wraps.
+type refRing struct {
+	bits []byte
+	pos  int
+	size int
+}
+
+func newRefRing(size int) *refRing { return &refRing{bits: make([]byte, size), size: size} }
+
+func (h *refRing) push(taken bool) {
+	h.pos--
+	if h.pos < 0 {
+		h.pos = h.size - 1
+	}
+	h.bits[h.pos] = 0
+	if taken {
+		h.bits[h.pos] = 1
+	}
+}
+
+func (h *refRing) Bit(i int) byte { return h.bits[(h.pos+i)%h.size] }
+
+func (h *refRing) reset() {
+	clear(h.bits)
+	h.pos = 0
+}
+
+// refHistory is the reference side's own per-thread history: a modular
+// ring, the path register and, per table, the three folds unpacked as
+// separate foldedHistory values. Its reset recomputes every fold bit by
+// bit from the cleared ring, as the reset before the O(1) one did. sc is
+// the same history packed into a History for the package's statistical
+// corrector, rebuilt from the reference folds after every change.
+type refHistory struct {
+	ghr   *refRing
+	path  uint64
+	folds [][3]foldedHistory
+	sc    *History
+}
+
+func newRefHistory(cfg Config) *refHistory {
+	maxLen := 0
+	hs := &refHistory{folds: make([][3]foldedHistory, len(cfg.Tables))}
+	hs.sc = &History{folds: make([]foldSet, len(cfg.Tables))}
+	for i, s := range cfg.Tables {
+		maxLen = max(maxLen, s.HistLen)
+		idxBits := bits.Len(uint(s.Entries)) - 1
+		hs.folds[i] = [3]foldedHistory{
+			newFolded(s.HistLen, idxBits),
+			newFolded(s.HistLen, s.TagBits),
+			newFolded(s.HistLen, s.TagBits-1),
+		}
+	}
+	hs.ghr = newRefRing(maxLen + 64)
+	return hs
+}
+
+func (hs *refHistory) update(pc uint64, taken bool) {
+	hs.ghr.push(taken)
+	hs.path = (hs.path << 1) | ((pc >> 2) & 1)
+	for i := range hs.folds {
+		for l := range hs.folds[i] {
+			hs.folds[i][l].update(hs.ghr)
+		}
+	}
+	hs.pack()
+}
+
+func (hs *refHistory) reset() {
+	hs.ghr.reset()
 	hs.path = 0
 	for i := range hs.folds {
-		f := &hs.folds[i]
-		f.packed = 0
-		for lane, w := range [3]uint8{f.cIdx, f.cTag0, f.cTag1} {
-			ref := newFolded(int(f.origLen), int(w))
-			ref.reset(hs.ghr)
-			f.packed |= uint64(ref.comp) << (foldLaneBits * uint(lane))
+		for l := range hs.folds[i] {
+			hs.folds[i][l].reset(hs.ghr)
+		}
+	}
+	hs.pack()
+}
+
+func (hs *refHistory) pack() {
+	hs.sc.path = hs.path
+	for i, f := range hs.folds {
+		hs.sc.folds[i].packed = uint64(f[0].comp) | uint64(f[1].comp)<<foldLaneBits | uint64(f[2].comp)<<(2*foldLaneBits)
+	}
+}
+
+// TestHistoryBufferMatchesModularRing pins the doubled buffer's
+// wrap-free read against the modular ring it replaced: after every push
+// across more than two full wraps, and after a reset mid-stream, every
+// Bit(i) and the window push returns agree with the ring.
+func TestHistoryBufferMatchesModularRing(t *testing.T) {
+	for _, size := range []int{1, 7, 64, 704} {
+		h, ref := NewHistoryBuffer(size), newRefRing(size)
+		r := rng.New(uint64(size))
+		for step := 0; step < 5*size/2+3; step++ {
+			if step == 2*size+1 {
+				h.Reset()
+				ref.reset()
+			}
+			taken := r.Bool(0.5)
+			var b byte
+			if taken {
+				b = 1
+			}
+			ref.push(taken)
+			var win []byte
+			if step%2 == 0 {
+				win = h.push(b)
+			} else {
+				h.Push(taken)
+				win = h.bits[h.pos : h.pos+size]
+			}
+			if len(win) != size {
+				t.Fatalf("size %d step %d: window holds %d bits", size, step, len(win))
+			}
+			for i := 0; i < size; i++ {
+				if got, want := h.Bit(i), ref.Bit(i); got != want || win[i] != want {
+					t.Fatalf("size %d step %d: bit %d = %d (window %d), modular ring %d",
+						size, step, i, got, win[i], want)
+				}
+			}
 		}
 	}
 }
@@ -314,14 +426,17 @@ func keyedTransform(table int, pc, idx, tag uint64) (uint64, uint64) {
 }
 
 // TestTageMatchesReference drives the flat-bank Tage and the
-// array-of-structs reference with identical streams and asserts every
-// prediction and the final statistics agree. Half the accesses are random
-// PCs over 16K branches with random outcomes, which keep allocation
-// frequent; the other half go to 32 hot branches whose outcome follows the
-// last two outcomes, which tagged entries learn and so mark useful. On the
+// array-of-structs reference, each with its own history, with identical
+// streams and asserts every prediction and the final statistics agree.
+// Half the accesses are random PCs over 16K branches with random
+// outcomes, which keep allocation frequent and vary the path history; the
+// other half go to 32 hot branches whose outcome follows the thread's last
+// two outcomes, which tagged entries learn and so mark useful. On the
 // three-table 16-entry geometry those useful entries make allocation fail
 // and the useful-counter decay run. Flushes and history resets land
-// mid-stream, and the run is long enough for ageUseful to fire.
+// mid-stream, and the run is long enough for ageUseful to fire. The smt
+// variants interleave two threads' histories on the one predictor at
+// random, resetting only one of them at the first reset.
 func TestTageMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long differential run")
@@ -347,57 +462,73 @@ func TestTageMatchesReference(t *testing.T) {
 			name string
 			fn   IndexTransform
 		}{{"identity", nil}, {"keyed", keyedTransform}} {
-			t.Run(g.name+"/"+xf.name, func(t *testing.T) {
-				got, want := New(g.cfg), newRef(g.cfg)
-				got.SetIndexTransform(xf.fn)
-				want.xform = xf.fn
-				ghs, whs := got.NewHistory(), got.NewHistory()
-				r := rng.New(99)
-				var last uint64
-				for i := 0; i < n; i++ {
-					switch i {
-					case 50_000:
-						got.FlushTagged()
-						want.FlushTagged()
-					case 100_000:
-						ghs.Reset()
-						refResetHistory(whs)
-					case 150_000:
-						got.Flush()
-						want.Flush()
-						ghs.Reset()
-						refResetHistory(whs)
+			for _, threads := range []int{1, 2} {
+				name := g.name + "/" + xf.name
+				if threads == 2 {
+					name += "/smt"
+				}
+				t.Run(name, func(t *testing.T) {
+					got, want := New(g.cfg), newRef(g.cfg)
+					got.SetIndexTransform(xf.fn)
+					want.xform = xf.fn
+					var ghs []*History
+					var whs []*refHistory
+					for range threads {
+						ghs = append(ghs, got.NewHistory())
+						whs = append(whs, newRefHistory(g.cfg))
 					}
-					b := uint64(r.Intn(1 << 14))
-					taken := r.Bool(0.6)
-					if r.Bool(0.5) {
-						b &= 31
-						taken = bits.OnesCount64((last^b)&3)&1 == 0
-					}
-					// Hot PCs are multiples of 8 so their path bit is 0.
-					pc := 0x4000_0000 + b*8
-					last <<= 1
-					if taken {
-						last |= 1
-					}
-					if i%7 == 0 {
-						if gp, wp := got.Predict(pc, ghs), want.Predict(pc, whs); gp != wp {
-							t.Fatalf("access %d: Predict = %v, reference %v", i, gp, wp)
+					last := make([]uint64, threads)
+					r := rng.New(99)
+					for i := 0; i < n; i++ {
+						switch i {
+						case 50_000:
+							got.FlushTagged()
+							want.FlushTagged()
+						case 100_000:
+							ghs[0].Reset()
+							whs[0].reset()
+						case 150_000:
+							got.Flush()
+							want.Flush()
+							for th := range ghs {
+								ghs[th].Reset()
+								whs[th].reset()
+							}
+						}
+						th := r.Intn(threads)
+						b := uint64(r.Intn(1 << 14))
+						taken := r.Bool(0.6)
+						// Random PCs are multiples of 4, so their path bit
+						// varies; hot PCs are multiples of 8, so theirs is 0.
+						pc := 0x4000_0000 + b*4
+						if r.Bool(0.5) {
+							b &= 31
+							taken = bits.OnesCount64((last[th]^b)&3)&1 == 0
+							pc = 0x4000_0000 + b*8
+						}
+						last[th] <<= 1
+						if taken {
+							last[th] |= 1
+						}
+						if i%7 == 0 {
+							if gp, wp := got.Predict(pc, ghs[th]), want.Predict(pc, whs[th]); gp != wp {
+								t.Fatalf("access %d: Predict = %v, reference %v", i, gp, wp)
+							}
+						}
+						if gp, wp := got.Access(pc, taken, ghs[th]), want.Access(pc, taken, whs[th]); gp != wp {
+							t.Fatalf("access %d: Access = %v, reference %v", i, gp, wp)
 						}
 					}
-					if gp, wp := got.Access(pc, taken, ghs), want.Access(pc, taken, whs); gp != wp {
-						t.Fatalf("access %d: Access = %v, reference %v", i, gp, wp)
+					st := got.Stats()
+					if st != want.stats {
+						t.Fatalf("stats %+v, reference %+v", st, want.stats)
 					}
-				}
-				st := got.Stats()
-				if st != want.stats {
-					t.Fatalf("stats %+v, reference %+v", st, want.stats)
-				}
-				if st.Allocations == 0 || g.fails && st.AllocFailures == 0 {
-					t.Fatalf("stream did not exercise allocation (and its failure): %+v", st)
-				}
-				t.Logf("%+v", st)
-			})
+					if st.Allocations == 0 || g.fails && st.AllocFailures == 0 {
+						t.Fatalf("stream did not exercise allocation (and its failure): %+v", st)
+					}
+					t.Logf("%+v", st)
+				})
+			}
 		}
 	}
 }

@@ -167,6 +167,9 @@ func New(cfg Config) *Tage {
 	if len(cfg.Tables) == 0 {
 		panic("tage: config needs at least one tagged table")
 	}
+	if len(cfg.Tables) > 63 {
+		panic("tage: config allows at most 63 tagged tables")
+	}
 	t := &Tage{
 		cfg:   cfg,
 		banks: make([]bank, len(cfg.Tables)),
@@ -243,20 +246,6 @@ func (t *Tage) Stats() Stats { return t.stats }
 // ResetStats zeroes statistics.
 func (t *Tage) ResetStats() { t.stats = Stats{} }
 
-// index computes pc's entry in tagged table ti (placed by b) under history
-// hs, applying the injected transform.
-func (t *Tage) index(ti int, b *bank, pc uint64, hs *History) slot {
-	f := &hs.folds[ti]
-	idx := ((pc >> 1) ^ (pc >> uint(1+ti)) ^ f.idxComp() ^ (hs.path & 0x3F)) & b.mask
-	tag := ((pc >> 1) ^ f.tag0Comp() ^ (f.tag1Comp() << 1)) & b.tagMask
-	if t.xform != nil {
-		idx, tag = t.xform(ti, pc, idx, tag)
-		idx &= b.mask
-		tag &= b.tagMask
-	}
-	return slot{pos: b.off + idx, tag: uint16(tag) | tagValid}
-}
-
 // lookupResult is what lookup found: the provider (longest matching
 // table) and the alternate prediction.
 type lookupResult struct {
@@ -271,26 +260,44 @@ type lookupResult struct {
 // lookup walks the tables from the longest history down, recording each
 // visited table's entry in t.slots. It stops once it has both the provider
 // and the alternate, so every table above the provider is always recorded.
+//
+// Each table's index and tag hash is computed inline from locals: the
+// loop body is a handful of register operations plus the tag load, and
+// only the injected transform (when set) costs a call. Table ti's PC
+// term is pc >> (1+ti); New caps the table count at 63, so masking the
+// count with 63 changes nothing and drops Go's oversized-shift guard.
 func (t *Tage) lookup(pc uint64, hs *History) lookupResult {
 	res := lookupResult{provider: -1}
 	altSet := false
 	banks := t.banks
 	slots := t.slots[:len(banks)] // same length as banks: no bounds checks below
+	folds := hs.folds[:len(banks)]
+	tagv, xform := t.tagv, t.xform
+	pc1, path := pc>>1, hs.path&0x3F
 	for ti := len(banks) - 1; ti >= 0; ti-- {
-		s := t.index(ti, &banks[ti], pc, hs)
-		slots[ti] = s
-		if t.tagv[s.pos] == s.tag {
+		b := &banks[ti]
+		p := folds[ti].packed
+		idx := (pc1 ^ pc>>((1+uint(ti))&63) ^ p&foldLaneMask ^ path) & b.mask
+		// The tag mask (at most 15 bits, see New) also clears the tag-1
+		// lane that p>>foldLaneBits leaves above the tag lane.
+		tag := (pc1 ^ p>>foldLaneBits ^ p>>(2*foldLaneBits)<<1) & b.tagMask
+		if xform != nil {
+			idx, tag = xform(ti, pc, idx, tag)
+			idx &= b.mask
+			tag &= b.tagMask
+		}
+		pos, tw := b.off+idx, uint16(tag)|tagValid
+		slots[ti] = slot{pos: pos, tag: tw}
+		if tagv[pos] == tw {
 			if res.provider == -1 {
 				res.provider = ti
-				res.providerPos = s.pos
-				res.providerNew = t.u[s.pos] == 0 && weakCtr(t.ctr[s.pos])
-			} else if !altSet {
-				res.altPred = t.ctr[s.pos] >= 0
+				res.providerPos = pos
+				res.providerNew = t.u[pos] == 0 && weakCtr(t.ctr[pos])
+			} else {
+				res.altPred = t.ctr[pos] >= 0
 				altSet = true
+				break
 			}
-		}
-		if res.provider != -1 && altSet {
-			break
 		}
 	}
 	if !altSet {

@@ -56,19 +56,28 @@ func (f *foldedHistory) shift(newBit, oldBit uint32) {
 	f.comp &= (1 << f.compLen) - 1
 }
 
+// historyBits is a global history read newest first: the package's
+// HistoryBuffer, or the reference's modular ring (refRing).
+type historyBits interface{ Bit(i int) byte }
+
 // update shifts in the buffer's newest bit; call it after Push.
-func (f *foldedHistory) update(h *HistoryBuffer) {
+func (f *foldedHistory) update(h historyBits) {
 	f.shift(uint32(h.Bit(0)), uint32(h.Bit(int(f.origLen))))
 }
 
 // reset recomputes the fold from scratch over the buffer.
-func (f *foldedHistory) reset(h *HistoryBuffer) {
+func (f *foldedHistory) reset(h historyBits) {
 	f.comp = 0
 	for i := int(f.origLen) - 1; i >= 0; i-- {
 		f.comp = (f.comp << 1) | uint32(h.Bit(i))
 		f.comp = (f.comp ^ (f.comp >> f.compLen)) & (1<<f.compLen - 1)
 	}
 }
+
+// The tag lanes of a foldSet; lookup reads them straight from the packed
+// word, so only the tests name them.
+func (f *foldSet) tag0Comp() uint64 { return f.packed >> foldLaneBits & foldLaneMask }
+func (f *foldSet) tag1Comp() uint64 { return f.packed >> (2 * foldLaneBits) }
 
 func TestFoldedHistoryMatchesRecompute(t *testing.T) {
 	// Property: the incremental fold equals folding the history window
@@ -388,6 +397,25 @@ func TestIndexTransformChangesMapping(t *testing.T) {
 	if p.Stats().Allocations == 0 {
 		t.Fatal("no reallocation after transform change; predictor not relearning")
 	}
+}
+
+// TestNewRejectsTooManyTables: lookup masks the PC shift count of table
+// ti, 1+ti, with 63, which is exact only up to 63 tables, so New refuses
+// more instead of hashing differently.
+func TestNewRejectsTooManyTables(t *testing.T) {
+	cfg := SmallConfig(1)
+	cfg.Tables = make([]TableSpec, 63)
+	for i := range cfg.Tables {
+		cfg.Tables[i] = TableSpec{Entries: 16, TagBits: 8, UBits: 1, HistLen: i + 1}
+	}
+	New(cfg)
+	cfg.Tables = append(cfg.Tables, TableSpec{Entries: 16, TagBits: 8, UBits: 1, HistLen: 64})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted 64 tagged tables")
+		}
+	}()
+	New(cfg)
 }
 
 func TestDefaultConfigGeometry(t *testing.T) {
