@@ -16,7 +16,7 @@ GO ?= go
 # keeps losing nothing. perfbench-build compiles the benchmark module,
 # which the root go build cannot see, and perfbench-check runs its three
 # simulator workloads against their pinned output digests. fuzz-smoke
-# fuzzes the job-spec decoder cluster workers run on network input.
+# fuzzes the decoders of untrusted bytes: job specs, traces and cache files.
 ci: fmt vet lint build test race fuzz-smoke benchsmoke perfbench-build perfbench-check chaossmoke cluster-smoke trace-smoke journal-smoke
 
 # fmt fails when any Go file in the tree, the nested perfbench module
@@ -58,16 +58,20 @@ race:
 	$(GO) test -race -short ./internal/cluster/...
 	$(GO) test -race ./internal/server/...
 
-# fuzz-smoke fuzzes the two decoders that read untrusted bytes, ten
+# fuzz-smoke fuzzes the three decoders that read untrusted bytes, ten
 # seconds each past their seed corpora: sim's job-spec decoder (what a
 # cluster worker reads off the network; corpus in internal/sim/testdata/fuzz),
 # where every accepted spec must re-encode to canonical bytes that decode
-# to the same spec, and the HYBPTRC1 trace decoder (corpus in
+# to the same spec; the HYBPTRC1 trace decoder (corpus in
 # internal/trace/testdata/fuzz), where every accepted stream must re-encode
-# to the same header and events. No input may panic either.
+# to the same header and events; and the harness disk-cache envelope
+# reader (corpus in internal/harness/testdata/fuzz), which may accept a
+# file only when its checksum binds a payload that decodes, and must
+# rename every other file to .bad intact. No input may panic any of them.
 fuzz-smoke:
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime 10s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 10s
+	$(GO) test ./internal/harness/ -run '^$$' -fuzz '^FuzzCacheGet$$' -fuzztime 10s
 
 # chaos is the fault-injection gate: hybpexp -scale tiny under a pinned
 # seeded fault schedule (worker panics, transient errors, cache corruption,

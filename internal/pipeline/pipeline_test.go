@@ -91,6 +91,22 @@ func TestFlushWithoutFlushingMatchesBaseline(t *testing.T) {
 	}
 }
 
+// TestPartitionMatchesReplicationAtZero pins, at the pipeline level,
+// Figure 8's 0% point: the Partition mechanism is Replication with no
+// extra storage, so one single-thread point with context switches and
+// privilege changes must measure the same ThreadResult on both.
+func TestPartitionMatchesReplicationAtZero(t *testing.T) {
+	cfg := secure.Config{Threads: 1, Seed: 5}
+	got := runOne(secure.NewPartition(cfg), "gcc", 500_000, 2_000_000).Threads[0]
+	want := runOne(secure.NewReplication(cfg, 0), "gcc", 500_000, 2_000_000).Threads[0]
+	if got != want {
+		t.Fatalf("Partition %+v, Replication at 0%% %+v", got, want)
+	}
+	if got.Switches == 0 || got.PrivChanges == 0 {
+		t.Fatalf("point had %d switches and %d privilege changes; want both", got.Switches, got.PrivChanges)
+	}
+}
+
 func TestMispredictionsCostCycles(t *testing.T) {
 	// Same trace, larger penalty ⇒ lower IPC.
 	run := func(pen int) float64 {

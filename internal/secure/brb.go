@@ -24,9 +24,9 @@ import (
 // save/restore-at-switch semantics; storage accounting follows the
 // checkpointed bits.
 type BRB struct {
-	cfg  Config
-	ps   *predictorSet
-	hist *histories
+	cfg    Config
+	ps     *predictorSet
+	fronts []front // per hardware thread
 
 	// CheckpointsPerThread is the retention depth (paper recommends 3).
 	checkpointsPerThread int
@@ -62,7 +62,7 @@ func NewBRB(cfg Config) *BRB {
 		activeASID:           make([]uint16, cfg.Threads),
 	}
 	b.ps = newPredictorSet(cfg.geometryFor(), cfg.Seed)
-	b.hist = newHistories(b.ps.tage, cfg.Threads)
+	b.fronts = perThreadFronts(b.ps.tage, cfg.Threads)
 	return b
 }
 
@@ -71,7 +71,8 @@ func (b *BRB) Access(ctx Context, br Branch, now uint64) Result {
 	if b.activeASID[ctx.Thread] == 0 {
 		b.activeASID[ctx.Thread] = ctx.ASID
 	}
-	return b.ps.access(br, b.hist.tage[ctx.Thread], b.hist.ras[ctx.Thread], ctx.id(), 0)
+	fr := b.fronts[ctx.Thread]
+	return b.ps.access(br, fr.hist, fr.stack, ctx.id(), 0)
 }
 
 // OnContextSwitch implements BPU: save the outgoing context's checkpoint,
@@ -83,7 +84,7 @@ func (b *BRB) OnContextSwitch(thread uint8, incoming uint16, now uint64) {
 		b.save(outgoing)
 	}
 	b.ps.flushAll()
-	b.hist.reset(thread)
+	b.fronts[thread].reset()
 	if cp, ok := b.checkpoints[incoming]; ok {
 		b.restore(cp)
 		b.Restores++

@@ -83,21 +83,26 @@ func clampPow2(n, lo, hi int) int {
 	return p
 }
 
-// predictorSet bundles one BTB hierarchy and one TAGE instance — the unit
-// Partition and Replication instantiate per (thread, privilege) context and
-// Baseline/Flush instantiate once.
+// predictorSet bundles one BTB hierarchy and one TAGE instance. Flush
+// builds one for the whole core, Replication one per (thread, privilege)
+// context, and HyBP one view per context over its keyed hierarchy and
+// shared TAGE.
 type predictorSet struct {
 	btb  *btb.Hierarchy
 	tage *tage.Tage
 }
 
 func newPredictorSet(g geometry, seed uint64) *predictorSet {
-	tables := []*btb.Table{btb.New(g.l0), btb.New(g.l1), btb.New(g.l2)}
-	sets := []int{g.l0.Sets, g.l1.Sets, g.l2.Sets}
-	h := btb.NewHierarchy(tables, btb.PlainKeyFunc(sets, btbTagBits))
 	tg := g.tage
 	tg.Seed = seed
-	return &predictorSet{btb: h, tage: tage.New(tg)}
+	return &predictorSet{btb: newBTBHierarchy(g), tage: tage.New(tg)}
+}
+
+// newBTBHierarchy builds g's three BTB levels under the plain mapping.
+func newBTBHierarchy(g geometry) *btb.Hierarchy {
+	tables := []*btb.Table{btb.New(g.l0), btb.New(g.l1), btb.New(g.l2)}
+	sets := []int{g.l0.Sets, g.l1.Sets, g.l2.Sets}
+	return btb.NewHierarchy(tables, btb.PlainKeyFunc(sets, btbTagBits))
 }
 
 // btbTagBits is the partial tag width of BTB entries (the T of the Section
@@ -107,7 +112,7 @@ const btbTagBits = 16
 // access runs one branch through the set: direction prediction for
 // conditionals, return-stack pop/push for returns and calls, and BTB
 // lookup/fill for taken branches. contentKey encodes stored targets (zero
-// for unprotected mechanisms).
+// for every mechanism but HyBP).
 func (ps *predictorSet) access(b Branch, hs *tage.History, stack *ras.Stack, owner uint16, contentKey uint64) Result {
 	res := Result{BTBLevel: -1, DirCorrect: true}
 
@@ -118,12 +123,10 @@ func (ps *predictorSet) access(b Branch, hs *tage.History, stack *ras.Stack, own
 
 	// Returns are predicted by the return address stack, not the BTB.
 	if b.Kind == Return {
-		if stack != nil {
-			if addr, ok := stack.Pop(); ok {
-				res.RawHit = true
-				res.PredictedTarget = addr
-				res.BTBHit = addr == b.Target
-			}
+		if addr, ok := stack.Pop(); ok {
+			res.RawHit = true
+			res.PredictedTarget = addr
+			res.BTBHit = addr == b.Target
 		}
 		return res
 	}
@@ -147,7 +150,7 @@ func (ps *predictorSet) access(b Branch, hs *tage.History, stack *ras.Stack, own
 	}
 
 	// Calls push their return address after the target lookup.
-	if b.Kind == Call && b.Taken && stack != nil {
+	if b.Kind == Call && b.Taken {
 		stack.Push(b.PC + 4)
 	}
 	return res

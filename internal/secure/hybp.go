@@ -39,7 +39,7 @@ type HyBP struct {
 	// single indexed load — the map hash was measurable on the hot path.
 	privPart []*hybpContext
 
-	hist *histories
+	hist []*tage.History // per hardware thread, over the shared TAGE
 
 	now uint64 // current cycle, visible to the key-function closures
 
@@ -55,12 +55,15 @@ type HyBP struct {
 // (the paper's Exynos survey notes the RAS as a protected structure;
 // HyBP's taxonomy puts small tables on the isolation side).
 type hybpContext struct {
-	hierarchy *btb.Hierarchy
-	l0, l1    *btb.Table
-	base      *tage.Bimodal
-	stack     *ras.Stack
-	keys      *keys.Table
-	xform     tage.IndexTransform
+	// ps is the context's view of the predictor: its keyed BTB hierarchy
+	// and the shared TAGE, accessed by the same predictorSet.access as
+	// every other mechanism.
+	ps     predictorSet
+	l0, l1 *btb.Table
+	base   *tage.Bimodal
+	stack  *ras.Stack
+	keys   *keys.Table
+	xform  tage.IndexTransform
 }
 
 // NewHyBP builds the mechanism.
@@ -76,7 +79,10 @@ func NewHyBP(cfg Config) *HyBP {
 	tg := g.tage
 	tg.Seed = cfg.Seed
 	h.shared = tage.New(tg)
-	h.hist = newHistories(h.shared, cfg.Threads)
+	h.hist = make([]*tage.History, cfg.Threads)
+	for i := range h.hist {
+		h.hist[i] = h.shared.NewHistory()
+	}
 
 	plain := btb.PlainKeyFunc([]int{g.l0.Sets, g.l1.Sets, g.l2.Sets}, btbTagBits)
 	for _, ctx := range cfg.contexts() {
@@ -91,7 +97,7 @@ func NewHyBP(cfg Config) *HyBP {
 		// Levels 0 and 1 are private plain tables; level 2 goes through
 		// the context's code book for the index and the content key for
 		// the tag.
-		hc.hierarchy = btb.NewHierarchy(
+		hierarchy := btb.NewHierarchy(
 			[]*btb.Table{hc.l0, hc.l1, h.l2},
 			func(level int, pc uint64) (uint64, uint64) {
 				idx, tag := plain(level, pc)
@@ -102,6 +108,7 @@ func NewHyBP(cfg Config) *HyBP {
 				return idx, tag
 			},
 		)
+		hc.ps = predictorSet{btb: hierarchy, tage: h.shared}
 		// TAGE tagged tables: per-table index/tag randomization from the
 		// same code book (BTB and PHT share the random tables, Section
 		// VI-C); the per-table tweak decorrelates the thirty tables.
@@ -140,44 +147,14 @@ func (h *HyBP) Access(ctx Context, br Branch, now uint64) Result {
 		h.StaleKeyAccesses++
 	}
 
-	res := Result{BTBLevel: -1, DirCorrect: true, StaleKey: stale}
-
+	// The shared TAGE serves every context: point it at this context's
+	// bimodal base and index transform before a conditional reads it.
 	if br.Kind == Cond {
 		h.shared.SetBase(hc.base)
 		h.shared.SetIndexTransform(hc.xform)
-		res.DirPred = h.shared.Access(br.PC, br.Taken, h.hist.tage[ctx.Thread])
-		res.DirCorrect = res.DirPred == br.Taken
 	}
-
-	// Returns are served by the context's physically isolated stack.
-	if br.Kind == Return {
-		if addr, ok := hc.stack.Pop(); ok {
-			res.RawHit = true
-			res.PredictedTarget = addr
-			res.BTBHit = addr == br.Target
-		}
-		return res
-	}
-
-	if br.Taken {
-		contentKey := hc.keys.ContentKey()
-		stored, level, hit := hc.hierarchy.Lookup(br.PC)
-		if hit {
-			res.RawHit = true
-			res.BTBLevel = level
-			res.BTBLatency = hc.hierarchy.Level(level).Latency()
-			res.PredictedTarget = stored ^ contentKey
-			if res.PredictedTarget == br.Target {
-				res.BTBHit = true
-			}
-		}
-		if !res.BTBHit {
-			hc.hierarchy.Insert(br.PC, br.Target^contentKey, ctx.id())
-		}
-		if br.Kind == Call {
-			hc.stack.Push(br.PC + 4)
-		}
-	}
+	res := hc.ps.access(br, h.hist[ctx.Thread], hc.stack, ctx.id(), hc.keys.ContentKey())
+	res.StaleKey = stale
 	return res
 }
 
@@ -195,7 +172,7 @@ func (h *HyBP) OnContextSwitch(thread uint8, incoming uint16, now uint64) {
 		hc.base.Flush()
 		hc.stack.Flush()
 	}
-	h.hist.reset(thread)
+	h.hist[thread].Reset()
 }
 
 // OnPrivilegeChange implements BPU: nothing to do — each privilege level
@@ -231,7 +208,7 @@ func (h *HyBP) SharedL2() *btb.Table { return h.l2 }
 // HierarchyFor exposes a context's BTB hierarchy (attack harnesses need the
 // attacker's own view of the shared table).
 func (h *HyBP) HierarchyFor(ctx Context) *btb.Hierarchy {
-	return h.privPart[ctx.id()].hierarchy
+	return h.privPart[ctx.id()].ps.btb
 }
 
 var _ BPU = (*HyBP)(nil)

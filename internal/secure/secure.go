@@ -1,10 +1,12 @@
 // Package secure implements the defense mechanisms the paper evaluates,
-// behind one BPU interface: Baseline (no protection), Flush, Partition,
-// Replication, and HyBP itself. The pipeline timing model (internal/
-// pipeline) and the attack framework (internal/attack) are both written
-// against the BPU interface, so every mechanism is exercised by identical
-// structural code — the comparison the paper's Tables I/III and Figures
-// 5-8 rest on.
+// behind one BPU interface. The unprotected baseline is Flush with both
+// flush triggers off, Partition is Replication at 0% extra storage, and
+// HyBP runs the same predictor-set access through its keyed tables; BRB
+// and the tournament yardstick (Section VII-F) complete the set. The
+// pipeline timing model (internal/pipeline) and the attack framework
+// (internal/attack) are both written against the BPU interface, so every
+// mechanism is exercised by identical structural code — the comparison
+// the paper's Tables I/III and Figures 5-8 rest on.
 package secure
 
 import (
@@ -130,10 +132,6 @@ type Config struct {
 	// Keys configures HyBP's key management; zero value means
 	// keys.DefaultConfig(Seed).
 	Keys keys.Config
-	// UseTournament swaps the TAGE-SC-L direction predictor for the
-	// tournament predictor (the Section VII-F comparison). Only Baseline
-	// honors it.
-	UseTournament bool
 	// Scale shrinks (or grows) every table uniformly from the paper's
 	// baseline geometry; zero means 1.0. Attack experiments use small
 	// scales to keep eviction-set searches fast and extrapolate
@@ -174,31 +172,33 @@ func (c Config) contexts() []Context {
 	return out
 }
 
-// histories bundles the per-hardware-thread front-end state the shared
-// mechanisms keep outside their tables: the direction-predictor history
-// and the return address stack.
-type histories struct {
-	tage []*tage.History
-	ras  []*ras.Stack
+// front is the state one front end keeps outside the predictor tables:
+// its direction-predictor history and its return address stack. Flush and
+// BRB keep one per hardware thread; Replication keeps one per (thread,
+// privilege) context, beside that context's predictor set.
+type front struct {
+	hist  *tage.History
+	stack *ras.Stack
 }
 
 // rasDepth is the return address stack capacity (typical cores hold
 // 16-64 entries).
 const rasDepth = 32
 
-func newHistories(t *tage.Tage, threads int) *histories {
-	h := &histories{
-		tage: make([]*tage.History, threads),
-		ras:  make([]*ras.Stack, threads),
-	}
-	for i := range h.tage {
-		h.tage[i] = t.NewHistory()
-		h.ras[i] = ras.New(rasDepth)
-	}
-	return h
+func newFront(t *tage.Tage) front {
+	return front{hist: t.NewHistory(), stack: ras.New(rasDepth)}
 }
 
-func (h *histories) reset(thread uint8) {
-	h.tage[thread].Reset()
-	h.ras[thread].Flush()
+// perThreadFronts builds one front per hardware thread over t.
+func perThreadFronts(t *tage.Tage, threads int) []front {
+	fs := make([]front, threads)
+	for i := range fs {
+		fs[i] = newFront(t)
+	}
+	return fs
+}
+
+func (f front) reset() {
+	f.hist.Reset()
+	f.stack.Flush()
 }

@@ -345,13 +345,13 @@ func TestMechanismNames(t *testing.T) {
 			t.Errorf("unexpected mechanism name %q", m.Name())
 		}
 	}
-	if n := NewBaseline(Config{Threads: 1, Seed: 1, UseTournament: true}).Name(); n != "baseline-tournament" {
+	if n := NewTournament(Config{Threads: 1, Seed: 1}).Name(); n != "baseline-tournament" {
 		t.Errorf("tournament baseline name = %q", n)
 	}
 }
 
 func TestTournamentBaselineWorks(t *testing.T) {
-	b := NewBaseline(Config{Threads: 1, Seed: 1, UseTournament: true})
+	b := NewTournament(Config{Threads: 1, Seed: 1})
 	ctx := Context{Thread: 0, Priv: keys.User, ASID: 1}
 	correct := 0
 	for i := 0; i < 2000; i++ {

@@ -96,8 +96,7 @@ func (m MechSpec) Build(cfg secure.Config) secure.BPU {
 		cfg.Keys.Entries = m.KeysEntries
 	}
 	if m.Tournament {
-		cfg.UseTournament = true
-		return secure.NewBaseline(cfg)
+		return secure.NewTournament(cfg)
 	}
 	switch m.ID {
 	case MechBaseline:
