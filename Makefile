@@ -16,7 +16,8 @@ GO ?= go
 # keeps losing nothing. perfbench-build compiles the benchmark module,
 # which the root go build cannot see, and perfbench-check runs its three
 # simulator workloads against their pinned output digests. fuzz-smoke
-# fuzzes the decoders of untrusted bytes: job specs, traces and cache files.
+# fuzzes the decoders of untrusted bytes (job specs, traces and cache
+# files) and the fault-schedule spec parser.
 ci: fmt vet lint build test race fuzz-smoke benchsmoke perfbench-build perfbench-check chaossmoke cluster-smoke trace-smoke journal-smoke
 
 # fmt fails when any Go file in the tree, the nested perfbench module
@@ -58,8 +59,8 @@ race:
 	$(GO) test -race -short ./internal/cluster/...
 	$(GO) test -race ./internal/server/...
 
-# fuzz-smoke fuzzes the three decoders that read untrusted bytes, ten
-# seconds each past their seed corpora: sim's job-spec decoder (what a
+# fuzz-smoke fuzzes four parsers, ten seconds each past their seed
+# corpora. Three decode untrusted bytes: sim's job-spec decoder (what a
 # cluster worker reads off the network; corpus in internal/sim/testdata/fuzz),
 # where every accepted spec must re-encode to canonical bytes that decode
 # to the same spec; the HYBPTRC1 trace decoder (corpus in
@@ -67,11 +68,15 @@ race:
 # to the same header and events; and the harness disk-cache envelope
 # reader (corpus in internal/harness/testdata/fuzz), which may accept a
 # file only when its checksum binds a payload that decodes, and must
-# rename every other file to .bad intact. No input may panic any of them.
+# rename every other file to .bad intact. The fourth is the -faults spec
+# parser (corpus in internal/faults/testdata/fuzz), where every accepted
+# spec's Config must render to a spec that parses to the same Config. No
+# input may panic any of them.
 fuzz-smoke:
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime 10s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 10s
 	$(GO) test ./internal/harness/ -run '^$$' -fuzz '^FuzzCacheGet$$' -fuzztime 10s
+	$(GO) test ./internal/faults/ -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
 
 # chaos is the fault-injection gate: hybpexp -scale tiny under a pinned
 # seeded fault schedule (worker panics, transient errors, cache corruption,

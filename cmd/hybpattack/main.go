@@ -1,11 +1,12 @@
 // Command hybpattack runs the paper's Section VI security experiments:
 // eviction-set construction (Algorithm 1 / PPP and the GEM baseline),
-// blind-contention analysis (Equation 1), PHT reuse cost (Equation 2), and
-// the Section VI-D malicious-training proofs of concept.
+// blind-contention analysis (Equation 1), PHT reuse cost (Equation 2), the
+// Section VI-D malicious-training proofs of concept, and the Section VI-C
+// RSA square-and-multiply key leak.
 //
 // Usage:
 //
-//	hybpattack [-mech baseline|hybp|partition|flush] [-iters N] ppp|gem|blind|pht|poc|all
+//	hybpattack [-mech baseline|hybp|partition|flush] [-iters N] ppp|gem|blind|pht|poc|rsa|all
 package main
 
 import (
@@ -17,6 +18,9 @@ import (
 	"hybp"
 	"hybp/internal/sim"
 )
+
+// attacks lists the accepted attack names.
+const attacks = "ppp|gem|blind|pht|poc|rsa|all"
 
 func main() {
 	var (
@@ -32,7 +36,7 @@ func main() {
 		os.Exit(2)
 	}
 	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: hybpattack [flags] ppp|gem|blind|pht|poc|all")
+		fmt.Fprintln(os.Stderr, "usage: hybpattack [flags] "+attacks)
 		os.Exit(2)
 	}
 
@@ -115,7 +119,7 @@ func main() {
 			fmt.Printf("PHT training: success %.2f%%  (follow rate %.2f%%)\n",
 				100*pht.SuccessRate(), 100*pht.FollowRate())
 		default:
-			fmt.Fprintf(os.Stderr, "unknown attack %q\n", name)
+			fmt.Fprintf(os.Stderr, "unknown attack %q (want %s)\n", name, attacks)
 			os.Exit(2)
 		}
 		fmt.Println()

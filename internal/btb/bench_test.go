@@ -6,7 +6,7 @@ import "testing"
 // a Zen2 geometry under a looping PC working set: mostly L0/L1 hits with
 // steady misses and demotion cascades — the simulator's BTB hot path.
 func BenchmarkHierarchyLookupInsert(b *testing.B) {
-	h := NewZenHierarchy(1, PlainKeyFunc([]int{8, 256, 1024}, 16))
+	h := zenHierarchy(1, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -35,7 +35,7 @@ func BenchmarkTableLookup(b *testing.B) {
 // TestHierarchyZeroAllocs pins BTB lookup+insert (including the demotion
 // cascade and eviction path) allocation-free.
 func TestHierarchyZeroAllocs(t *testing.T) {
-	h := NewZenHierarchy(1, PlainKeyFunc([]int{8, 256, 1024}, 16))
+	h := zenHierarchy(1, nil)
 	// Warm with a working set that overflows L0 and L1 so lookups migrate
 	// entries and inserts evict.
 	for i := 0; i < 20_000; i++ {

@@ -1,12 +1,13 @@
 package btb
 
-// KeyFunc maps a branch PC to the (set index, tag) pair used at a given
-// hierarchy level. Defense mechanisms supply closures: the baseline uses
-// plain PC bit slicing, Partition adds per-context set offsets, and HyBP
-// routes the last level through the randomized index keys table. The
-// hierarchy never sees a raw mapping policy — only this function — so every
-// mechanism exercises identical structural code.
-type KeyFunc func(level int, pc uint64) (index, tag uint64)
+import "math/bits"
+
+// LastLevelKey returns what a context's key material XORs into the plain
+// (set index, tag) pair of pc at the hierarchy's last level. HyBP passes
+// one per context: its code-book key for the index and its content key for
+// the tag, so the shared last level is logically isolated while the upper
+// levels stay plain private tables (paper Section V, Figure 3).
+type LastLevelKey func(pc uint64) (index, tag uint64)
 
 // Hierarchy is a multi-level exclusive ("victim") BTB: lookups probe levels
 // in order; a hit at a lower level moves the entry to L0, demoting victims
@@ -19,25 +20,46 @@ type KeyFunc func(level int, pc uint64) (index, tag uint64)
 // flow an attacker can observe there is reduced to the upper levels' miss
 // rate. LastLevelProbeRate exposes that flow directly.
 type Hierarchy struct {
-	levels []*Table
-	keyFn  KeyFunc
+	levels  []*Table
+	shifts  []uint // log2 of each level's set count
+	tagMask uint64
+	lastKey LastLevelKey
 }
 
 // NewHierarchy assembles a hierarchy over tables (ordered from L0 to the
-// last level) using keyFn for PC mapping.
-func NewHierarchy(tables []*Table, keyFn KeyFunc) *Hierarchy {
+// last level) with tagBits-wide tags. lastKey, when non-nil, keys the last
+// level's mapping; nil leaves every level plain.
+func NewHierarchy(tables []*Table, tagBits uint, lastKey LastLevelKey) *Hierarchy {
 	if len(tables) == 0 {
 		panic("btb: hierarchy needs at least one level")
 	}
-	if keyFn == nil {
-		panic("btb: hierarchy needs a key function")
+	h := &Hierarchy{
+		levels:  tables,
+		shifts:  make([]uint, len(tables)),
+		tagMask: 1<<tagBits - 1,
+		lastKey: lastKey,
 	}
-	return &Hierarchy{levels: tables, keyFn: keyFn}
+	for i, t := range tables {
+		h.shifts[i] = uint(bits.TrailingZeros(uint(t.Sets())))
+	}
+	return h
 }
 
-// SetKeyFunc swaps the PC mapping; mechanisms call this when the active
-// context (and hence key material) changes.
-func (h *Hierarchy) SetKeyFunc(fn KeyFunc) { h.keyFn = fn }
+// mapping returns pc's (set index, tag) pair at level lv. The plain
+// mapping takes the index from the PC bits above the 2-byte instruction
+// alignment and the tag from the bits above the index, truncated to the tag
+// width: the conventional BTB arrangement the attacks in the literature
+// assume. The index is left unmasked; the table reduces it to its sets.
+func (h *Hierarchy) mapping(lv int, pc uint64) (index, tag uint64) {
+	index = pc >> 1
+	tag = (index >> h.shifts[lv]) & h.tagMask
+	if h.lastKey != nil && lv == len(h.levels)-1 {
+		ki, kt := h.lastKey(pc)
+		index ^= ki
+		tag ^= kt
+	}
+	return index, tag
+}
 
 // Levels returns the number of levels.
 func (h *Hierarchy) Levels() int { return len(h.levels) }
@@ -52,7 +74,7 @@ func (h *Hierarchy) Level(i int) *Table { return h.levels[i] }
 // logical-isolation property randomized contents provide.
 func (h *Hierarchy) Lookup(pc uint64) (target uint64, level int, hit bool) {
 	for lv, tbl := range h.levels {
-		idx, tag := h.keyFn(lv, pc)
+		idx, tag := h.mapping(lv, pc)
 		if e, ok := tbl.Lookup(idx, tag); ok {
 			if lv > 0 {
 				tbl.Invalidate(idx, tag)
@@ -68,7 +90,7 @@ func (h *Hierarchy) Lookup(pc uint64) (target uint64, level int, hit bool) {
 // migration side effects. Tests and oracles use it; attack code must not.
 func (h *Hierarchy) Probe(pc uint64) (level int, ok bool) {
 	for lv, tbl := range h.levels {
-		idx, tag := h.keyFn(lv, pc)
+		idx, tag := h.mapping(lv, pc)
 		if _, hit := tbl.Probe(idx, tag); hit {
 			return lv, true
 		}
@@ -81,7 +103,7 @@ func (h *Hierarchy) Probe(pc uint64) (level int, ok bool) {
 // levels are invalidated to preserve exclusivity.
 func (h *Hierarchy) Insert(pc, target uint64, owner uint16) {
 	for lv := 1; lv < len(h.levels); lv++ {
-		idx, tag := h.keyFn(lv, pc)
+		idx, tag := h.mapping(lv, pc)
 		h.levels[lv].Invalidate(idx, tag)
 	}
 	h.insertAt(0, Entry{PC: pc, Target: target, Owner: owner, Valid: true})
@@ -89,12 +111,12 @@ func (h *Hierarchy) Insert(pc, target uint64, owner uint16) {
 
 // insertAt places e at level lv, demoting eviction victims down the
 // hierarchy. Victim remapping uses the entry's PC metadata under the
-// *current* key function; entries belonging to stale contexts are flushed
+// *current* last-level key; entries belonging to stale contexts are flushed
 // at context switches by the mechanisms before the mapping changes matter
 // (see internal/secure).
 func (h *Hierarchy) insertAt(lv int, e Entry) {
 	for ; lv < len(h.levels); lv++ {
-		idx, tag := h.keyFn(lv, e.PC)
+		idx, tag := h.mapping(lv, e.PC)
 		e.Tag = tag
 		victim, evicted := h.levels[lv].Insert(idx, e)
 		if !evicted {
@@ -109,22 +131,6 @@ func (h *Hierarchy) insertAt(lv int, e Entry) {
 func (h *Hierarchy) Flush() {
 	for _, t := range h.levels {
 		t.Flush()
-	}
-}
-
-// FlushLevels invalidates levels [from, to) only; HyBP flushes the
-// physically isolated upper levels at context switch while the randomized
-// last level survives under new keys.
-func (h *Hierarchy) FlushLevels(from, to int) {
-	for i := from; i < to && i < len(h.levels); i++ {
-		h.levels[i].Flush()
-	}
-}
-
-// FlushOwner invalidates owner's entries at every level.
-func (h *Hierarchy) FlushOwner(owner uint16) {
-	for _, t := range h.levels {
-		t.FlushOwner(owner)
 	}
 }
 
@@ -168,37 +174,5 @@ func ZenConfig(seed uint64) []Config {
 		{Sets: 8, Ways: 2, Latency: 0, EntryBits: 60, Seed: seed ^ 0x10},
 		{Sets: 256, Ways: 2, Latency: 1, EntryBits: 60, Seed: seed ^ 0x11},
 		{Sets: 1024, Ways: 7, Latency: 4, EntryBits: 60, Seed: seed ^ 0x12},
-	}
-}
-
-// NewZenHierarchy builds the baseline three-level BTB with keyFn.
-func NewZenHierarchy(seed uint64, keyFn KeyFunc) *Hierarchy {
-	cfgs := ZenConfig(seed)
-	tables := make([]*Table, len(cfgs))
-	for i, c := range cfgs {
-		tables[i] = New(c)
-	}
-	return NewHierarchy(tables, keyFn)
-}
-
-// PlainKeyFunc is the unprotected baseline mapping: the set index comes
-// from the PC bits above the 2-byte instruction alignment and the tag from
-// the bits above the index, truncated to tagBits — the conventional BTB
-// arrangement the attacks in the literature assume.
-func PlainKeyFunc(setsPerLevel []int, tagBits uint) KeyFunc {
-	masks := make([]uint64, len(setsPerLevel))
-	shifts := make([]uint, len(setsPerLevel))
-	for i, s := range setsPerLevel {
-		masks[i] = uint64(s - 1)
-		b := uint(0)
-		for v := s; v > 1; v >>= 1 {
-			b++
-		}
-		shifts[i] = b
-	}
-	tagMask := uint64(1)<<tagBits - 1
-	return func(level int, pc uint64) (uint64, uint64) {
-		x := pc >> 1
-		return x & masks[level], (x >> shifts[level]) & tagMask
 	}
 }

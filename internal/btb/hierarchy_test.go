@@ -13,31 +13,30 @@ func smallHierarchy(seed uint64) *Hierarchy {
 		{Sets: 32, Ways: 4, EntryBits: 60, Seed: seed + 2},
 	}
 	tables := make([]*Table, len(cfgs))
-	sets := make([]int, len(cfgs))
 	for i, c := range cfgs {
 		tables[i] = New(c)
-		sets[i] = c.Sets
 	}
-	return NewHierarchy(tables, PlainKeyFunc(sets, 16))
+	return NewHierarchy(tables, 16, nil)
+}
+
+// zenHierarchy builds the baseline three-level BTB with 16-bit tags, its
+// last level keyed by lastKey (nil for plain).
+func zenHierarchy(seed uint64, lastKey LastLevelKey) *Hierarchy {
+	cfgs := ZenConfig(seed)
+	tables := make([]*Table, len(cfgs))
+	for i, c := range cfgs {
+		tables[i] = New(c)
+	}
+	return NewHierarchy(tables, 16, lastKey)
 }
 
 func TestHierarchyValidation(t *testing.T) {
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("empty hierarchy did not panic")
-			}
-		}()
-		NewHierarchy(nil, PlainKeyFunc([]int{1}, 4))
+	defer func() {
+		if recover() == nil {
+			t.Error("empty hierarchy did not panic")
+		}
 	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("nil key function did not panic")
-			}
-		}()
-		NewHierarchy([]*Table{New(testConfig())}, nil)
-	}()
+	NewHierarchy(nil, 4, nil)
 }
 
 func TestHierarchyInsertHitsAtL0(t *testing.T) {
@@ -164,78 +163,58 @@ func TestLastLevelProbeRateFiltering(t *testing.T) {
 	}
 }
 
-func TestFlushLevels(t *testing.T) {
-	h := smallHierarchy(9)
-	for i := 0; i < 40; i++ {
-		h.Insert(uint64(0x1000+i*2), uint64(i), 1)
-	}
-	l2Before := h.Level(2).ValidCount()
-	if l2Before == 0 {
-		t.Skip("nothing reached L2; enlarge workload")
-	}
-	h.FlushLevels(0, 2)
-	if h.Level(0).ValidCount() != 0 || h.Level(1).ValidCount() != 0 {
-		t.Fatal("upper levels not flushed")
-	}
-	if h.Level(2).ValidCount() != l2Before {
-		t.Fatal("last level was flushed but should survive")
-	}
-}
-
-func TestHierarchyFlushOwner(t *testing.T) {
-	h := smallHierarchy(10)
-	h.Insert(0x1000, 1, 1)
-	h.Insert(0x2000, 2, 2)
-	h.FlushOwner(1)
-	if _, ok := h.Probe(0x1000); ok {
-		t.Fatal("owner-1 entry survived FlushOwner")
-	}
-	if _, ok := h.Probe(0x2000); !ok {
-		t.Fatal("owner-2 entry lost")
-	}
-}
-
-func TestKeyFuncSwapChangesVisibility(t *testing.T) {
-	// Swapping the key function (as HyBP does on a key change) must make
-	// previously inserted last-level entries unreachable: the logical
-	// isolation property.
-	cfgs := ZenConfig(1)
-	tables := make([]*Table, len(cfgs))
-	sets := make([]int, len(cfgs))
-	for i, c := range cfgs {
-		tables[i] = New(c)
-		sets[i] = c.Sets
-	}
-	plain := PlainKeyFunc(sets, 16)
-	shifted := func(level int, pc uint64) (uint64, uint64) {
-		idx, tag := plain(level, pc)
-		return idx ^ 0x155, tag ^ 0x3FFF
-	}
-	h := NewHierarchy(tables, plain)
-	// Place entries directly in the last level.
+func TestLastLevelKeyChangesVisibility(t *testing.T) {
+	// Changing the last-level key (as a HyBP key refresh does) must make
+	// the entries placed under the old key unreachable, the logical
+	// isolation property, while the plain upper levels stay visible.
+	var keyIdx, keyTag uint64
+	h := zenHierarchy(1, func(uint64) (uint64, uint64) { return keyIdx, keyTag })
+	last := h.Levels() - 1
 	for i := 0; i < 100; i++ {
 		pc := uint64(0x4000 + i*2)
-		idx, tag := plain(2, pc)
-		tables[2].Insert(idx, Entry{Tag: tag, PC: pc, Target: 9})
+		idx, tag := h.mapping(last, pc)
+		h.Level(last).Insert(idx, Entry{Tag: tag, PC: pc, Target: 9})
 	}
-	hits := 0
-	for i := 0; i < 100; i++ {
-		if _, ok := h.Probe(uint64(0x4000 + i*2)); ok {
-			hits++
+	h.Insert(0x9000, 7, 1) // lands in the plain L0
+	visible := func() int {
+		n := 0
+		for i := 0; i < 100; i++ {
+			if lv, ok := h.Probe(uint64(0x4000 + i*2)); ok && lv == last {
+				n++
+			}
 		}
+		return n
 	}
-	if hits != 100 {
-		t.Fatalf("setup: %d/100 visible under original keys", hits)
+	if n := visible(); n != 100 {
+		t.Fatalf("setup: %d/100 visible under the original key", n)
 	}
-	h.SetKeyFunc(shifted)
-	hits = 0
-	for i := 0; i < 100; i++ {
-		if _, ok := h.Probe(uint64(0x4000 + i*2)); ok {
-			hits++
+	keyIdx, keyTag = 0x155, 0x3FFF
+	if n := visible(); n != 0 {
+		t.Fatalf("%d/100 entries still visible after the key change", n)
+	}
+	if lv, ok := h.Probe(0x9000); !ok || lv != 0 {
+		t.Fatalf("L0 entry at level %d (ok=%v) after the key change, want 0", lv, ok)
+	}
+}
+
+func TestPlainMappingDistinctTags(t *testing.T) {
+	// The plain mapping takes the set from the PC bits above the 2-byte
+	// alignment and the tag from the bits above the set: two PCs that
+	// share a set must differ in tag, or the BTB would alias wildly.
+	h := NewHierarchy([]*Table{New(Config{Sets: 1024, Ways: 2, Seed: 1})}, 16, nil)
+	a, b := uint64(0x1000), uint64(0x1000+2048*2) // same set after >>1 and mask
+	h.Insert(a, 1, 1)
+	h.Insert(b, 2, 1)
+	if n := h.Level(0).SetOccupancy(a >> 1); n != 2 {
+		t.Fatalf("set %d holds %d entries, want both PCs", (a>>1)&1023, n)
+	}
+	if _, ok := h.Level(0).Probe(a>>1, (a>>11)&0xFFFF); !ok {
+		t.Fatal("entry not at the plain (index, tag) of its PC")
+	}
+	for pc, want := range map[uint64]uint64{a: 1, b: 2} {
+		if got, _, hit := h.Lookup(pc); !hit || got != want {
+			t.Fatalf("lookup %#x = (%d, %v), want (%d, true)", pc, got, hit, want)
 		}
-	}
-	if hits != 0 {
-		t.Fatalf("%d/100 entries still visible after key change", hits)
 	}
 }
 
@@ -251,28 +230,14 @@ func TestZenConfigGeometry(t *testing.T) {
 		}
 	}
 	// Total BTB storage: 7696 entries × 60 bits ≈ 56.4 KB.
-	h := NewZenHierarchy(0, PlainKeyFunc([]int{8, 256, 1024}, 16))
+	h := zenHierarchy(0, nil)
 	if got := h.StorageBits(); got != (16+512+7168)*60 {
 		t.Errorf("storage = %d bits", got)
 	}
 }
 
-func TestPlainKeyFuncDistinctTags(t *testing.T) {
-	// Two PCs mapping to the same set must (usually) differ in tag;
-	// otherwise the BTB would alias wildly.
-	kf := PlainKeyFunc([]int{1024}, 16)
-	idx1, tag1 := kf(0, 0x1000)
-	idx2, tag2 := kf(0, 0x1000+2048*2) // same set after >>1 and mask
-	if idx1 != idx2 {
-		t.Fatalf("expected same set, got %d and %d", idx1, idx2)
-	}
-	if tag1 == tag2 {
-		t.Fatal("aliasing PCs share a tag")
-	}
-}
-
 func BenchmarkHierarchyLookupHit(b *testing.B) {
-	h := NewZenHierarchy(1, PlainKeyFunc([]int{8, 256, 1024}, 16))
+	h := zenHierarchy(1, nil)
 	h.Insert(0x1000, 0x2000, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -281,7 +246,7 @@ func BenchmarkHierarchyLookupHit(b *testing.B) {
 }
 
 func BenchmarkHierarchyInsert(b *testing.B) {
-	h := NewZenHierarchy(1, PlainKeyFunc([]int{8, 256, 1024}, 16))
+	h := zenHierarchy(1, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Insert(uint64(0x1000+(i%5000)*2), uint64(i), 1)

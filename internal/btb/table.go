@@ -3,11 +3,14 @@
 // paper's baseline core (AMD Zen2: 16-entry L0, 512-entry L1, 7K-entry L2,
 // 60-bit entries, random replacement — paper Figure 3 caption).
 //
-// The table is deliberately mechanism-agnostic: callers map a branch PC to a
-// (set index, tag) pair and encode the stored content themselves. The secure
-// mechanisms in internal/secure provide those mappings (identity for the
-// baseline, partition offsets for Partition, per-context keyed permutations
-// for HyBP), so one structure serves every defense under test.
+// The table is deliberately mechanism-agnostic: callers hand it a (set
+// index, tag) pair and encode the stored content themselves. The hierarchy
+// maps a branch PC to that pair with the plain PC bit split at every level;
+// the only variation is HyBP's, which XORs a context's code-book key into
+// the shared last level's index and its content key into that level's tag
+// (paper Section V, Figure 3). Every other mechanism in internal/secure
+// isolates by owning separate tables, so one structure serves every
+// defense under test.
 package btb
 
 import "hybp/internal/rng"
@@ -27,27 +30,14 @@ type Entry struct {
 	Valid  bool
 }
 
-// ReplacementPolicy selects a victim way within a set.
-type ReplacementPolicy int
-
-// Replacement policies supported by Table.
-const (
-	// ReplaceRandom matches the paper's baseline BTB ("using random
-	// replacement", Figure 3 caption).
-	ReplaceRandom ReplacementPolicy = iota
-	// ReplaceLRU is provided for sensitivity studies.
-	ReplaceLRU
-)
-
 // Config describes a set-associative table.
 type Config struct {
 	// Sets is the number of sets; it must be a power of two.
 	Sets int
-	// Ways is the set associativity.
+	// Ways is the set associativity. A full set evicts a random way, as
+	// the Zen2 baseline does ("using random replacement", Figure 3
+	// caption).
 	Ways int
-	// Replacement selects the victim policy; the default (zero value) is
-	// random replacement as in the Zen2 baseline.
-	Replacement ReplacementPolicy
 	// Latency is the lookup latency in cycles, consumed by the pipeline
 	// model (Table IV gives 4 cycles for the large BTB).
 	Latency int
@@ -57,6 +47,9 @@ type Config struct {
 	// Seed seeds the replacement RNG stream.
 	Seed uint64
 }
+
+// StorageBits returns the storage cost in bits of a table of this geometry.
+func (c Config) StorageBits() int { return c.Sets * c.Ways * c.EntryBits }
 
 // Stats accumulates table activity.
 type Stats struct {
@@ -70,18 +63,14 @@ type Stats struct {
 	// to a different owner than the inserting context — the contention an
 	// attacker senses in a contention-based attack.
 	CrossOwnerEvictions uint64
-	// Flushes counts whole-table or predicate flush operations.
+	// Flushes counts whole-table flushes.
 	Flushes uint64
 }
 
 // Table is a set-associative predictor table.
 type Table struct {
-	cfg  Config
-	sets [][]Entry
-	// lru[set][way] holds a logical timestamp for LRU; unused under
-	// random replacement.
-	lru   [][]uint64
-	clock uint64
+	cfg   Config
+	sets  [][]Entry
 	rand  *rng.Rand
 	stats Stats
 }
@@ -104,13 +93,6 @@ func New(cfg Config) *Table {
 	for i := range t.sets {
 		t.sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
 	}
-	if cfg.Replacement == ReplaceLRU {
-		lruBacking := make([]uint64, cfg.Sets*cfg.Ways)
-		t.lru = make([][]uint64, cfg.Sets)
-		for i := range t.lru {
-			t.lru[i] = lruBacking[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-		}
-	}
 	return t
 }
 
@@ -127,7 +109,7 @@ func (t *Table) Ways() int { return t.cfg.Ways }
 func (t *Table) Entries() int { return t.cfg.Sets * t.cfg.Ways }
 
 // StorageBits returns the table's storage cost in bits.
-func (t *Table) StorageBits() int { return t.Entries() * t.cfg.EntryBits }
+func (t *Table) StorageBits() int { return t.cfg.StorageBits() }
 
 // Latency returns the lookup latency in cycles.
 func (t *Table) Latency() int { return t.cfg.Latency }
@@ -150,10 +132,6 @@ func (t *Table) Lookup(index, tag uint64) (Entry, bool) {
 	for w := range set {
 		if set[w].Valid && set[w].Tag == tag {
 			t.stats.Hits++
-			if t.lru != nil {
-				t.clock++
-				t.lru[t.maskIndex(index)][w] = t.clock
-			}
 			return set[w], true
 		}
 	}
@@ -175,18 +153,16 @@ func (t *Table) Probe(index, tag uint64) (Entry, bool) {
 
 // Insert places e at index. If an entry with the same tag exists it is
 // updated in place. Otherwise a victim way is chosen (an invalid way if one
-// exists, else per the replacement policy) and the displaced entry, if any,
-// is returned with evicted=true.
+// exists, else a random one) and the displaced entry, if any, is returned
+// with evicted=true.
 func (t *Table) Insert(index uint64, e Entry) (victim Entry, evicted bool) {
-	si := t.maskIndex(index)
-	set := t.sets[si]
+	set := t.sets[t.maskIndex(index)]
 	e.Valid = true
 
 	for w := range set {
 		if set[w].Valid && set[w].Tag == e.Tag {
 			set[w] = e
 			t.stats.Updates++
-			t.touch(si, w)
 			return Entry{}, false
 		}
 	}
@@ -195,11 +171,10 @@ func (t *Table) Insert(index uint64, e Entry) (victim Entry, evicted bool) {
 		if !set[w].Valid {
 			set[w] = e
 			t.stats.Inserts++
-			t.touch(si, w)
 			return Entry{}, false
 		}
 	}
-	w := t.victimWay(si)
+	w := t.rand.Intn(t.cfg.Ways)
 	victim = set[w]
 	set[w] = e
 	t.stats.Inserts++
@@ -207,7 +182,6 @@ func (t *Table) Insert(index uint64, e Entry) (victim Entry, evicted bool) {
 	if victim.Owner != e.Owner {
 		t.stats.CrossOwnerEvictions++
 	}
-	t.touch(si, w)
 	return victim, true
 }
 
@@ -224,28 +198,6 @@ func (t *Table) Invalidate(index, tag uint64) bool {
 	return false
 }
 
-func (t *Table) touch(set, way int) {
-	if t.lru != nil {
-		t.clock++
-		t.lru[set][way] = t.clock
-	}
-}
-
-func (t *Table) victimWay(set int) int {
-	switch t.cfg.Replacement {
-	case ReplaceLRU:
-		best, bestTS := 0, t.lru[set][0]
-		for w := 1; w < t.cfg.Ways; w++ {
-			if t.lru[set][w] < bestTS {
-				best, bestTS = w, t.lru[set][w]
-			}
-		}
-		return best
-	default:
-		return t.rand.Intn(t.cfg.Ways)
-	}
-}
-
 // Flush invalidates every entry.
 func (t *Table) Flush() {
 	for _, set := range t.sets {
@@ -254,22 +206,6 @@ func (t *Table) Flush() {
 		}
 	}
 	t.stats.Flushes++
-}
-
-// FlushOwner invalidates every entry belonging to owner; used by mechanisms
-// that flush only the swapped-out context's partition.
-func (t *Table) FlushOwner(owner uint16) int {
-	n := 0
-	for _, set := range t.sets {
-		for w := range set {
-			if set[w].Valid && set[w].Owner == owner {
-				set[w] = Entry{}
-				n++
-			}
-		}
-	}
-	t.stats.Flushes++
-	return n
 }
 
 // ValidCount returns the number of valid entries; used by tests and the

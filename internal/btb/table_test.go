@@ -110,22 +110,6 @@ func TestFlush(t *testing.T) {
 	}
 }
 
-func TestFlushOwner(t *testing.T) {
-	tbl := New(testConfig())
-	tbl.Insert(1, Entry{Tag: 1, Owner: 1})
-	tbl.Insert(2, Entry{Tag: 2, Owner: 2})
-	tbl.Insert(3, Entry{Tag: 3, Owner: 1})
-	if n := tbl.FlushOwner(1); n != 2 {
-		t.Fatalf("FlushOwner removed %d, want 2", n)
-	}
-	if _, ok := tbl.Lookup(2, 2); !ok {
-		t.Fatal("owner-2 entry lost by FlushOwner(1)")
-	}
-	if tbl.ValidCount() != 1 {
-		t.Fatalf("valid = %d, want 1", tbl.ValidCount())
-	}
-}
-
 func TestInvalidate(t *testing.T) {
 	tbl := New(testConfig())
 	tbl.Insert(1, Entry{Tag: 5, Target: 9})
@@ -137,17 +121,6 @@ func TestInvalidate(t *testing.T) {
 	}
 	if _, ok := tbl.Lookup(1, 5); ok {
 		t.Fatal("entry survived invalidate")
-	}
-}
-
-func TestLRUReplacement(t *testing.T) {
-	tbl := New(Config{Sets: 1, Ways: 2, Replacement: ReplaceLRU, Seed: 1})
-	tbl.Insert(0, Entry{Tag: 1})
-	tbl.Insert(0, Entry{Tag: 2})
-	tbl.Lookup(0, 1) // make tag 1 most recent
-	victim, ev := tbl.Insert(0, Entry{Tag: 3})
-	if !ev || victim.Tag != 2 {
-		t.Fatalf("LRU victim = %+v (evicted=%v), want tag 2", victim, ev)
 	}
 }
 

@@ -1,8 +1,10 @@
 package faults
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -174,6 +176,7 @@ func TestParseErrors(t *testing.T) {
 		{"exec.panic", "key=value"},
 		{"exec.panic=2", "outside"},
 		{"exec.panic=-0.1", "outside"},
+		{"conn.drop=NaN", "outside"},
 		{"nope=1", "unknown field"},
 		{"seed=abc", "bad seed"},
 	}
@@ -185,6 +188,39 @@ func TestParseErrors(t *testing.T) {
 	if in, err := Parse("  "); err != nil || in != nil {
 		t.Fatalf("empty spec = (%v, %v), want nil no-op", in, err)
 	}
+}
+
+// specOf renders cfg as a Parse spec naming every field.
+func specOf(cfg Config) string {
+	rate := func(r float64) string { return strconv.FormatFloat(r, 'g', -1, 64) }
+	return fmt.Sprintf("seed=%d,exec.panic=%s,exec.err=%s,exec.slow=%s,"+
+		"cache.readerr=%s,cache.corrupt=%s,cache.torn=%s,cache.writeerr=%s,"+
+		"conn.drop=%s,stream.drop=%s,journal.corrupt=%s,journal.torn=%s,"+
+		"slowmax=%s,maxconsec=%d,crashafter=%d",
+		cfg.Seed, rate(cfg.ExecPanic), rate(cfg.ExecErr), rate(cfg.ExecSlow),
+		rate(cfg.CacheReadErr), rate(cfg.CacheCorrupt), rate(cfg.CacheTorn), rate(cfg.CacheWriteErr),
+		rate(cfg.ConnDrop), rate(cfg.StreamDrop), rate(cfg.JournalCorrupt), rate(cfg.JournalTorn),
+		cfg.SlowMax, cfg.MaxConsecutive, cfg.CrashAfter)
+}
+
+// FuzzParse feeds arbitrary specs to Parse. No input may panic it, and an
+// accepted spec's Config must render to a spec that parses to the same
+// Config.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		in, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		cfg := in.Config()
+		again, err := Parse(specOf(cfg))
+		if err != nil {
+			t.Fatalf("%q parsed to %+v, whose spec %q does not parse: %v", spec, cfg, specOf(cfg), err)
+		}
+		if got := again.Config(); got != cfg {
+			t.Fatalf("%q parsed to %+v, its spec %q to %+v", spec, cfg, specOf(cfg), got)
+		}
+	})
 }
 
 func TestTransportDropsAndRecovers(t *testing.T) {

@@ -225,4 +225,7 @@ func (t *Table) Refreshes() uint64 { return t.refreshes }
 
 // StorageBits is the SRAM cost of the code book (1.25 KB for the paper's
 // 1K×10b table).
-func (t *Table) StorageBits() int { return t.cfg.Entries * t.cfg.KeyBits }
+func (t *Table) StorageBits() int { return t.cfg.StorageBits() }
+
+// StorageBits is the SRAM cost of one code book of this configuration.
+func (c Config) StorageBits() int { return c.Entries * c.KeyBits }

@@ -91,8 +91,7 @@ func (m *Manager) NoteAccess(id ContextID, now uint64) bool {
 // threads (threads × 2 privilege levels × table size) — 5 KB for the
 // paper's SMT-2 instance.
 func (m *Manager) StorageBits(threads int) int {
-	one := NewTable(m.cfg).StorageBits()
-	return threads * 2 * one
+	return threads * 2 * m.cfg.StorageBits()
 }
 
 // TotalRefreshes sums refresh counts across all live tables.

@@ -27,6 +27,7 @@ type BRB struct {
 	cfg    Config
 	ps     *predictorSet
 	fronts []front // per hardware thread
+	base   int     // live-table storage, the baseline's
 
 	// CheckpointsPerThread is the retention depth (paper recommends 3).
 	checkpointsPerThread int
@@ -61,7 +62,9 @@ func NewBRB(cfg Config) *BRB {
 		checkpoints:          make(map[uint16]*brbCheckpoint),
 		activeASID:           make([]uint16, cfg.Threads),
 	}
-	b.ps = newPredictorSet(cfg.geometryFor(), cfg.Seed)
+	g := cfg.geometryFor()
+	b.ps = newPredictorSet(g, cfg.Seed)
+	b.base = g.storageBits()
 	b.fronts = perThreadFronts(b.ps.tage, cfg.Threads)
 	return b
 }
@@ -162,11 +165,11 @@ func copyBimodal(dst, src *tage.Bimodal) {
 // (threads × 3 checkpoints × 6.6 KB).
 func (b *BRB) StorageBits() int {
 	ckptBits := int(brbCheckpointKB * 8 * 1024 * float64(b.checkpointsPerThread*b.cfg.Threads))
-	return b.ps.storageBits() + ckptBits
+	return b.base + ckptBits
 }
 
 // BaselineBits implements BPU.
-func (b *BRB) BaselineBits() int { return b.ps.storageBits() }
+func (b *BRB) BaselineBits() int { return b.base }
 
 // Name implements BPU.
 func (b *BRB) Name() string { return "brb" }

@@ -110,20 +110,13 @@ func TestPartitionMatchesReplicationAtZero(t *testing.T) {
 	}
 }
 
-// tournamentDigest is the FNV-1a digest of the tournament baseline's
-// Result sequence over driveStream at {Threads: 2, Seed: 2022}, recorded
-// when the tournament predictor still lived inside the baseline type. It
-// pins the Section VII-F yardstick's behaviour: returns through the BTB,
-// no return address stack, and a BTB insert on a miss or a wrong stored
-// target.
-const tournamentDigest = 0x181133633dfc2162
-
-// TestTournamentDigest checks NewTournament against tournamentDigest.
-func TestTournamentDigest(t *testing.T) {
-	cfg := Config{Threads: 2, Seed: 2022}
+// resultDigest is the FNV-1a digest of b's Result sequence over
+// driveStream at cfg: each Result's flags, predicted target, level and
+// latency as four little-endian words.
+func resultDigest(cfg Config, b BPU) uint64 {
 	h := fnv.New64a()
 	var buf [32]byte
-	driveStream(cfg, []BPU{NewTournament(cfg)}, func(_ int, _ Context, _ Branch, res []Result) {
+	driveStream(cfg, []BPU{b}, func(_ int, _ Context, _ Branch, res []Result) {
 		r := res[0]
 		flags := uint64(0)
 		for bit, on := range []bool{r.DirPred, r.DirCorrect, r.BTBHit, r.RawHit, r.StaleKey} {
@@ -137,7 +130,62 @@ func TestTournamentDigest(t *testing.T) {
 		binary.LittleEndian.PutUint64(buf[24:], uint64(r.BTBLatency))
 		h.Write(buf[:])
 	})
-	if got := h.Sum64(); got != tournamentDigest {
+	return h.Sum64()
+}
+
+// tournamentDigest is the FNV-1a digest of the tournament baseline's
+// Result sequence over driveStream at {Threads: 2, Seed: 2022}, recorded
+// when the tournament predictor still lived inside the baseline type. It
+// pins the Section VII-F yardstick's behaviour: returns through the BTB,
+// no return address stack, and a BTB insert on a miss or a wrong stored
+// target.
+const tournamentDigest = 0x181133633dfc2162
+
+// TestTournamentDigest checks NewTournament against tournamentDigest.
+func TestTournamentDigest(t *testing.T) {
+	cfg := Config{Threads: 2, Seed: 2022}
+	if got := resultDigest(cfg, NewTournament(cfg)); got != tournamentDigest {
 		t.Fatalf("tournament Result digest %#x, want %#x", got, tournamentDigest)
+	}
+}
+
+// TestMechanismDigests pins every mechanism's Result sequence over
+// driveStream on two threads, at full scale and at 1/16. At 1/16 the last
+// BTB level has 64 sets while HyBP's code-book keys are 10 bits wide, so
+// the table's own index masking is on the path. The digests were recorded
+// while each BTB level still mapped PCs through a per-level closure; a
+// change of BTB mapping, replacement or flushing that moves any Result
+// moves a digest.
+func TestMechanismDigests(t *testing.T) {
+	build := map[string]func(Config) BPU{
+		"baseline":    func(c Config) BPU { return NewBaseline(c) },
+		"flush":       func(c Config) BPU { return NewFlush(c) },
+		"partition":   func(c Config) BPU { return NewPartition(c) },
+		"replication": func(c Config) BPU { return NewReplication(c, 1) },
+		"brb":         func(c Config) BPU { return NewBRB(c) },
+		"hybp":        func(c Config) BPU { return NewHyBP(c) },
+	}
+	for _, tc := range []struct {
+		mech  string
+		scale float64
+		want  uint64
+	}{
+		{"baseline", 1, 0x99b109371a5f8544},
+		{"flush", 1, 0x87674a6a0ef20a85},
+		{"partition", 1, 0x8241d7c0c65282c1},
+		{"replication", 1, 0xa3058b49f9af9d69},
+		{"brb", 1, 0x77fcd44b6f6468c5},
+		{"hybp", 1, 0x0cdb734b7557c16f},
+		{"baseline", 1.0 / 16, 0x7733651870639a25},
+		{"flush", 1.0 / 16, 0xc691971f86325372},
+		{"partition", 1.0 / 16, 0x39de9827d99b3370},
+		{"replication", 1.0 / 16, 0xe6100d8502676b47},
+		{"brb", 1.0 / 16, 0x81a34aa1beeea36b},
+		{"hybp", 1.0 / 16, 0x5808cacb513f1949},
+	} {
+		cfg := Config{Threads: 2, Seed: 2022, Scale: tc.scale}
+		if got := resultDigest(cfg, build[tc.mech](cfg)); got != tc.want {
+			t.Errorf("%s at scale %v: Result digest %#x, want %#x", tc.mech, tc.scale, got, tc.want)
+		}
 	}
 }

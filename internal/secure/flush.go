@@ -13,6 +13,7 @@ type Flush struct {
 	name   string
 	ps     *predictorSet
 	fronts []front // per hardware thread
+	bits   int     // predictor storage, the baseline's
 
 	// FlushOnPrivilege can be disabled to decompose Figure 6's shaded
 	// bars (context-switch flush cost vs privilege-change flush cost).
@@ -41,8 +42,9 @@ func NewBaseline(cfg Config) *Flush { return newShared(cfg, "baseline") }
 
 func newShared(cfg Config, name string) *Flush {
 	cfg = cfg.withDefaults()
-	ps := newPredictorSet(cfg.geometryFor(), cfg.Seed)
-	return &Flush{name: name, ps: ps, fronts: perThreadFronts(ps.tage, cfg.Threads)}
+	g := cfg.geometryFor()
+	ps := newPredictorSet(g, cfg.Seed)
+	return &Flush{name: name, ps: ps, fronts: perThreadFronts(ps.tage, cfg.Threads), bits: g.storageBits()}
 }
 
 // Access implements BPU.
@@ -71,10 +73,10 @@ func (f *Flush) OnPrivilegeChange(thread uint8, from, to keys.Privilege, now uin
 }
 
 // StorageBits implements BPU.
-func (f *Flush) StorageBits() int { return f.ps.storageBits() }
+func (f *Flush) StorageBits() int { return f.bits }
 
 // BaselineBits implements BPU.
-func (f *Flush) BaselineBits() int { return f.ps.storageBits() }
+func (f *Flush) BaselineBits() int { return f.bits }
 
 // Name implements BPU.
 func (f *Flush) Name() string { return f.name }

@@ -50,19 +50,10 @@ func (g geometry) scaled(frac float64) geometry {
 	out.tage.Tables = specs
 	out.tage.BimodalEntries = clampPow2(int(float64(g.tage.BimodalEntries)*frac+0.5), 64, 1<<24)
 	// Shrink the SC and loop structures along with the tagged tables.
-	out.tage.SCBiasEntries = clampPow2(int(float64(defaultOr(g.tage.SCBiasEntries, 4096))*frac+0.5), 64, 1<<20)
-	out.tage.SCGEntries = clampPow2(int(float64(defaultOr(g.tage.SCGEntries, 1024))*frac+0.5), 64, 1<<20)
-	out.tage.LoopSets = clampPow2(int(float64(defaultOr(g.tage.LoopSets, 16))*frac+0.5), 2, 1<<16)
+	out.tage.SCBiasEntries = clampPow2(int(float64(g.tage.SCBiasEntries)*frac+0.5), 64, 1<<20)
+	out.tage.SCGEntries = clampPow2(int(float64(g.tage.SCGEntries)*frac+0.5), 64, 1<<20)
+	out.tage.LoopSets = clampPow2(int(float64(g.tage.LoopSets)*frac+0.5), 2, 1<<16)
 	return out
-}
-
-// defaultOr returns v, or def when v is zero (mirroring the tage.Config
-// zero-value defaults).
-func defaultOr(v, def int) int {
-	if v == 0 {
-		return def
-	}
-	return v
 }
 
 // clampPow2 rounds n down to a power of two within [lo, hi].
@@ -83,6 +74,13 @@ func clampPow2(n, lo, hi int) int {
 	return p
 }
 
+// storageBits is the storage of one predictor set of geometry g: its three
+// BTB levels, TAGE's tagged, SC and loop tables, and the bimodal base.
+func (g geometry) storageBits() int {
+	return g.l0.StorageBits() + g.l1.StorageBits() + g.l2.StorageBits() +
+		g.tage.StorageBits() + tage.BimodalStorageBits(g.tage.BimodalEntries)
+}
+
 // predictorSet bundles one BTB hierarchy and one TAGE instance. Flush
 // builds one for the whole core, Replication one per (thread, privilege)
 // context, and HyBP one view per context over its keyed hierarchy and
@@ -100,9 +98,7 @@ func newPredictorSet(g geometry, seed uint64) *predictorSet {
 
 // newBTBHierarchy builds g's three BTB levels under the plain mapping.
 func newBTBHierarchy(g geometry) *btb.Hierarchy {
-	tables := []*btb.Table{btb.New(g.l0), btb.New(g.l1), btb.New(g.l2)}
-	sets := []int{g.l0.Sets, g.l1.Sets, g.l2.Sets}
-	return btb.NewHierarchy(tables, btb.PlainKeyFunc(sets, btbTagBits))
+	return btb.NewHierarchy([]*btb.Table{btb.New(g.l0), btb.New(g.l1), btb.New(g.l2)}, btbTagBits, nil)
 }
 
 // btbTagBits is the partial tag width of BTB entries (the T of the Section
@@ -154,10 +150,6 @@ func (ps *predictorSet) access(b Branch, hs *tage.History, stack *ras.Stack, own
 		stack.Push(b.PC + 4)
 	}
 	return res
-}
-
-func (ps *predictorSet) storageBits() int {
-	return ps.btb.StorageBits() + ps.tage.StorageBits() + ps.tage.Base().StorageBits()
 }
 
 func (ps *predictorSet) flushAll() {

@@ -39,7 +39,7 @@ func TestScaledGeometryMonotonic(t *testing.T) {
 	prev := 0
 	for _, f := range []float64{0.25, 0.4, 0.5, 0.7, 0.85, 1.0} {
 		s := g.scaled(f)
-		bits := newPredictorSet(s, 1).storageBits()
+		bits := s.storageBits()
 		if bits < prev {
 			t.Errorf("storage not monotonic at frac %.2f: %d < %d", f, bits, prev)
 		}
@@ -75,11 +75,24 @@ func TestScaledTageComponentsShrink(t *testing.T) {
 
 func TestPartitionStorageMatchesBaseline(t *testing.T) {
 	// Four quarter-partitions must cost ≈ one baseline (Table I's 0%).
-	base := newPredictorSet(baseGeometry(1), 1).storageBits()
-	quarter := newPredictorSet(baseGeometry(1).scaled(0.25), 1).storageBits()
+	base := baseGeometry(1).storageBits()
+	quarter := baseGeometry(1).scaled(0.25).storageBits()
 	ratio := float64(4*quarter) / float64(base)
 	if ratio < 0.9 || ratio > 1.1 {
 		t.Errorf("partition storage ratio = %.3f, want ≈1", ratio)
+	}
+}
+
+func TestGeometryStorageMatchesBuiltTables(t *testing.T) {
+	// The geometry's storage, computed without building anything, must
+	// equal what the built tables report.
+	for _, f := range []float64{1.0 / 16, 0.25, 0.5, 1, 2} {
+		g := baseGeometry(1).scaled(f)
+		ps := newPredictorSet(g, 1)
+		built := ps.btb.StorageBits() + ps.tage.StorageBits() + ps.tage.Base().StorageBits()
+		if got := g.storageBits(); got != built {
+			t.Errorf("scale %v: geometry storage %d bits, built tables %d", f, got, built)
+		}
 	}
 }
 

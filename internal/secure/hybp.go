@@ -84,7 +84,6 @@ func NewHyBP(cfg Config) *HyBP {
 		h.hist[i] = h.shared.NewHistory()
 	}
 
-	plain := btb.PlainKeyFunc([]int{g.l0.Sets, g.l1.Sets, g.l2.Sets}, btbTagBits)
 	for _, ctx := range cfg.contexts() {
 		kt := h.km.Table(ctx.keysID())
 		hc := &hybpContext{
@@ -94,20 +93,13 @@ func NewHyBP(cfg Config) *HyBP {
 			stack: ras.New(rasDepth),
 			keys:  kt,
 		}
-		// Levels 0 and 1 are private plain tables; level 2 goes through
-		// the context's code book for the index and the content key for
-		// the tag.
-		hierarchy := btb.NewHierarchy(
-			[]*btb.Table{hc.l0, hc.l1, h.l2},
-			func(level int, pc uint64) (uint64, uint64) {
-				idx, tag := plain(level, pc)
-				if level == 2 {
-					idx ^= kt.Key(pc, h.now)
-					tag ^= kt.ContentKey() & (1<<btbTagBits - 1)
-				}
-				return idx, tag
-			},
-		)
+		// Levels 0 and 1 are private plain tables; the shared level 2 is
+		// keyed by the context's code book for the index and its content
+		// key for the tag.
+		hierarchy := btb.NewHierarchy([]*btb.Table{hc.l0, hc.l1, h.l2}, btbTagBits,
+			func(pc uint64) (uint64, uint64) {
+				return kt.Key(pc, h.now), kt.ContentKey() & (1<<btbTagBits - 1)
+			})
 		hc.ps = predictorSet{btb: hierarchy, tage: h.shared}
 		// TAGE tagged tables: per-table index/tag randomization from the
 		// same code book (BTB and PHT share the random tables, Section
@@ -119,7 +111,7 @@ func NewHyBP(cfg Config) *HyBP {
 		}
 		h.privPart[ctx.id()] = hc
 	}
-	h.base = newPredictorSet(g, cfg.Seed).storageBits()
+	h.base = g.storageBits()
 	return h
 }
 

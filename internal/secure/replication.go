@@ -25,6 +25,7 @@ type Replication struct {
 	// keeps its own history.
 	parts  []*predictorSet
 	fronts []front
+	bits   int // storage of all the shares
 	base   int // baseline storage for overhead accounting
 }
 
@@ -53,13 +54,14 @@ func newReplication(cfg Config, overhead float64, name string) *Replication {
 		fronts: make([]front, cfg.Threads*2),
 	}
 	full := cfg.geometryFor()
-	frac := (1 + overhead) / float64(cfg.Threads*2)
+	share := full.scaled((1 + overhead) / float64(cfg.Threads*2))
 	for _, ctx := range cfg.contexts() {
-		ps := newPredictorSet(full.scaled(frac), cfg.Seed^uint64(ctx.id())<<32)
+		ps := newPredictorSet(share, cfg.Seed^uint64(ctx.id())<<32)
 		r.parts[ctx.id()] = ps
 		r.fronts[ctx.id()] = newFront(ps.tage)
 	}
-	r.base = newPredictorSet(full, cfg.Seed).storageBits()
+	r.bits = len(r.parts) * share.storageBits()
+	r.base = full.storageBits()
 	return r
 }
 
@@ -86,13 +88,7 @@ func (r *Replication) OnContextSwitch(thread uint8, incoming uint16, now uint64)
 func (r *Replication) OnPrivilegeChange(thread uint8, from, to keys.Privilege, now uint64) {}
 
 // StorageBits implements BPU.
-func (r *Replication) StorageBits() int {
-	n := 0
-	for _, ps := range r.parts {
-		n += ps.storageBits()
-	}
-	return n
-}
+func (r *Replication) StorageBits() int { return r.bits }
 
 // BaselineBits implements BPU.
 func (r *Replication) BaselineBits() int { return r.base }

@@ -253,6 +253,36 @@ func TestHyBPKeyChangeOnContextSwitch(t *testing.T) {
 	}
 }
 
+func TestHyBPContextSwitchKeepsSharedL2(t *testing.T) {
+	// A context switch flushes the switching thread's private L0/L1 but
+	// leaves the shared last level in place: its entries survive, made
+	// unreachable by the new keys rather than by a flush.
+	h := NewHyBP(testCfg(2, 30))
+	ctx := Context{Thread: 0, Priv: keys.User, ASID: 1}
+	other := Context{Thread: 1, Priv: keys.User, ASID: 2}
+	for i := 0; i < 2000; i++ {
+		pc := uint64(0x10000 + i*8)
+		h.Access(ctx, Branch{PC: pc, Target: pc + 0x100, Taken: true, Kind: Jump}, uint64(i))
+		h.Access(other, Branch{PC: pc, Target: pc + 0x200, Taken: true, Kind: Jump}, uint64(i))
+	}
+	own, peer := h.HierarchyFor(ctx), h.HierarchyFor(other)
+	l2 := h.SharedL2().ValidCount()
+	peerUpper := peer.Level(0).ValidCount() + peer.Level(1).ValidCount()
+	if l2 == 0 || own.Level(0).ValidCount() == 0 || own.Level(1).ValidCount() == 0 || peerUpper == 0 {
+		t.Fatal("setup: working set did not fill every level")
+	}
+	h.OnContextSwitch(0, 3, 5000)
+	if n := own.Level(0).ValidCount() + own.Level(1).ValidCount(); n != 0 {
+		t.Fatalf("%d entries left in the switching thread's L0/L1", n)
+	}
+	if n := peer.Level(0).ValidCount() + peer.Level(1).ValidCount(); n != peerUpper {
+		t.Fatalf("other thread's L0/L1 hold %d entries after the switch, want %d", n, peerUpper)
+	}
+	if n := h.SharedL2().ValidCount(); n != l2 {
+		t.Fatalf("shared L2 holds %d entries after the switch, want %d", n, l2)
+	}
+}
+
 func TestHyBPPrivilegeChangePreservesState(t *testing.T) {
 	// HyBP's key advantage over Flush: privilege round trips cost nothing
 	// because each privilege level owns separate keys and tables.

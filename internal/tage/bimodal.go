@@ -9,7 +9,8 @@ package tage
 //
 // In HyBP the bimodal base is physically isolated per (thread, privilege)
 // context (shaded in the paper's Figure 3(b)); mechanisms achieve that by
-// instantiating one Bimodal per context and swapping it on context switch.
+// instantiating one Bimodal per context; HyBP points its shared TAGE at the
+// accessing context's base before every conditional branch.
 type Bimodal struct {
 	pred     []byte // 1 bit per entry: predicted direction
 	hyst     []byte // 1 bit per pair of entries: confidence
@@ -68,4 +69,8 @@ func (b *Bimodal) Flush() {
 }
 
 // StorageBits returns the storage cost in bits.
-func (b *Bimodal) StorageBits() int { return len(b.pred) + len(b.hyst) }
+func (b *Bimodal) StorageBits() int { return BimodalStorageBits(len(b.pred)) }
+
+// BimodalStorageBits returns the storage cost in bits of a bimodal base
+// with predEntries prediction bits and half as many hysteresis bits.
+func BimodalStorageBits(predEntries int) int { return predEntries + predEntries/2 }

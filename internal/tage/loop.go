@@ -29,12 +29,12 @@ const (
 	loopConfMax     = 3
 	loopAgeMax      = 7
 	loopIterMax     = 1023
+	// loopEntryBits is one entry's storage: tag(10) + past(10) + curr(10)
+	// + conf(2) + age(3) + dir(1) + valid(1).
+	loopEntryBits = 37
 )
 
 func newLoopPredictor(seed uint64, sets int) *loopPredictor {
-	if sets == 0 {
-		sets = defaultLoopSets
-	}
 	if sets&(sets-1) != 0 {
 		panic("tage: loop predictor sets must be a power of two")
 	}
@@ -166,9 +166,4 @@ func (lp *loopPredictor) flush() {
 	for i := range lp.entries {
 		lp.entries[i] = loopEntry{}
 	}
-}
-
-func (lp *loopPredictor) storageBits() int {
-	// tag(10) + past(10) + curr(10) + conf(2) + age(3) + dir(1) + valid(1)
-	return len(lp.entries) * 37
 }

@@ -50,6 +50,7 @@ type refLookup struct {
 }
 
 func newRef(cfg Config) *refTage {
+	cfg = cfg.withDefaults()
 	t := &refTage{
 		cfg:      cfg,
 		tables:   make([][]refEntry, len(cfg.Tables)),
@@ -63,12 +64,8 @@ func newRef(cfg Config) *refTage {
 		t.masks[i] = uint64(spec.Entries - 1)
 		t.tagMasks[i] = 1<<uint(spec.TagBits) - 1
 	}
-	if cfg.UseSC {
-		t.sc = newStatCorrector(cfg.SCBiasEntries, cfg.SCGEntries)
-	}
-	if cfg.UseLoop {
-		t.loop = newLoopPredictor(cfg.Seed^0x100b, cfg.LoopSets)
-	}
+	t.sc = newStatCorrector(cfg.SCBiasEntries, cfg.SCGEntries)
+	t.loop = newLoopPredictor(cfg.Seed^0x100b, cfg.LoopSets)
 	return t
 }
 
@@ -125,12 +122,10 @@ func (t *refTage) lookup(pc uint64, hs *refHistory) refLookup {
 func (t *refTage) Predict(pc uint64, hs *refHistory) bool {
 	res := t.lookup(pc, hs)
 	pred := res.tagePred
-	if t.loop != nil {
-		if lp, ok, conf := t.loop.predict(pc); ok && conf {
-			pred = lp
-		}
+	if lp, ok, conf := t.loop.predict(pc); ok && conf {
+		pred = lp
 	}
-	if t.sc != nil && res.provider >= 0 {
+	if res.provider >= 0 {
 		e := &t.tables[res.provider][res.providerIdx]
 		if weakCtr(e.ctr) {
 			if scPred, use := t.sc.predict(pc, hs.sc, pred); use {
@@ -146,16 +141,14 @@ func (t *refTage) Access(pc uint64, taken bool, hs *refHistory) bool {
 	res := t.lookup(pc, hs)
 	pred := res.tagePred
 	finalIsLoop := false
-	if t.loop != nil {
-		if lp, ok, conf := t.loop.predict(pc); ok && conf {
-			pred = lp
-			finalIsLoop = true
-			t.stats.LoopHits++
-		}
+	if lp, ok, conf := t.loop.predict(pc); ok && conf {
+		pred = lp
+		finalIsLoop = true
+		t.stats.LoopHits++
 	}
 	scUsed := false
 	scPred := pred
-	if t.sc != nil && res.provider >= 0 && !finalIsLoop {
+	if res.provider >= 0 && !finalIsLoop {
 		e := &t.tables[res.provider][res.providerIdx]
 		if weakCtr(e.ctr) {
 			if sp, use := t.sc.predict(pc, hs.sc, res.tagePred); use {
@@ -182,10 +175,8 @@ func (t *refTage) Access(pc uint64, taken bool, hs *refHistory) bool {
 }
 
 func (t *refTage) train(pc uint64, taken bool, hs *refHistory, res refLookup, scUsed bool, scPred bool) {
-	if t.loop != nil {
-		t.loop.update(pc, taken, res.tagePred)
-	}
-	if t.sc != nil && scUsed {
+	t.loop.update(pc, taken, res.tagePred)
+	if scUsed {
 		t.sc.update(pc, hs.sc, taken, scPred)
 	}
 	if res.provider >= 0 {
@@ -277,12 +268,8 @@ func (t *refTage) FlushTagged() {
 			t.tables[ti][i] = refEntry{}
 		}
 	}
-	if t.sc != nil {
-		t.sc.flush()
-	}
-	if t.loop != nil {
-		t.loop.flush()
-	}
+	t.sc.flush()
+	t.loop.flush()
 }
 
 func (t *refTage) Flush() {

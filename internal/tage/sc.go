@@ -23,12 +23,6 @@ const (
 )
 
 func newStatCorrector(biasEntries, gEntries int) *statCorrector {
-	if biasEntries == 0 {
-		biasEntries = defaultSCBiasEntries
-	}
-	if gEntries == 0 {
-		gEntries = defaultSCGEntries
-	}
 	if biasEntries&(biasEntries-1) != 0 || gEntries&(gEntries-1) != 0 {
 		panic("tage: SC table sizes must be powers of two")
 	}
@@ -139,8 +133,4 @@ func (sc *statCorrector) flush() {
 	}
 	sc.threshold = 6
 	sc.tc = 0
-}
-
-func (sc *statCorrector) storageBits() int {
-	return 6 * (len(sc.bias) + 3*len(sc.g[0]))
 }

@@ -28,10 +28,6 @@ type Config struct {
 	Tables []TableSpec
 	// BimodalEntries sizes the base predictor's prediction array.
 	BimodalEntries int
-	// UseSC enables the statistical corrector.
-	UseSC bool
-	// UseLoop enables the loop predictor.
-	UseLoop bool
 	// SCBiasEntries and SCGEntries size the statistical corrector's bias
 	// and history tables (defaults 4096 and 1024 when zero); LoopSets
 	// sizes the loop predictor (default 16 sets of 4 ways). Scaled-down
@@ -75,8 +71,9 @@ func DefaultConfig(seed uint64) Config {
 	return Config{
 		Tables:         tables,
 		BimodalEntries: 8192,
-		UseSC:          true,
-		UseLoop:        true,
+		SCBiasEntries:  defaultSCBiasEntries,
+		SCGEntries:     defaultSCGEntries,
+		LoopSets:       defaultLoopSets,
 		Seed:           seed,
 	}
 }
@@ -90,13 +87,41 @@ func SmallConfig(seed uint64) Config {
 		{Entries: 256, TagBits: 11, UBits: 2, HistLen: 32},
 		{Entries: 256, TagBits: 11, UBits: 2, HistLen: 64},
 	}
-	return Config{Tables: tables, BimodalEntries: 1024, UseSC: true, UseLoop: true, Seed: seed}
+	return Config{Tables: tables, BimodalEntries: 1024, Seed: seed}
+}
+
+// withDefaults fills the zero-valued SC and loop sizes.
+func (c Config) withDefaults() Config {
+	if c.SCBiasEntries == 0 {
+		c.SCBiasEntries = defaultSCBiasEntries
+	}
+	if c.SCGEntries == 0 {
+		c.SCGEntries = defaultSCGEntries
+	}
+	if c.LoopSets == 0 {
+		c.LoopSets = defaultLoopSets
+	}
+	return c
+}
+
+// StorageBits returns the storage cost in bits of a predictor of this
+// geometry, excluding the swappable bimodal base (BimodalStorageBits):
+// the tagged tables, the statistical corrector's 6-bit counters and the
+// loop predictor's 37-bit entries.
+func (c Config) StorageBits() int {
+	c = c.withDefaults()
+	n := 0
+	for _, s := range c.Tables {
+		n += s.Entries * s.entryBits()
+	}
+	n += 6 * (c.SCBiasEntries + 3*c.SCGEntries)
+	return n + c.LoopSets*loopWays*loopEntryBits
 }
 
 // IndexTransform remaps a tagged table's (index, tag) pair for the branch
-// at pc. The secure mechanisms inject partition offsets or per-context
-// keyed permutations here (keyed by PC group, as HyBP's randomized index
-// keys table is); the identity transform is the unprotected baseline.
+// at pc. HyBP injects each context's keyed permutation here (keyed by PC
+// group, as its randomized index keys table is); every other mechanism
+// leaves it nil, the identity mapping.
 type IndexTransform func(table int, pc, index, tag uint64) (uint64, uint64)
 
 // tagValid marks an occupied tagged entry: the tag array holds
@@ -164,6 +189,7 @@ type Tage struct {
 
 // New builds a Tage from cfg.
 func New(cfg Config) *Tage {
+	cfg = cfg.withDefaults()
 	if len(cfg.Tables) == 0 {
 		panic("tage: config needs at least one tagged table")
 	}
@@ -189,12 +215,8 @@ func New(cfg Config) *Tage {
 		total += spec.Entries
 	}
 	t.tagv, t.ctr, t.u = make([]uint16, total), make([]int8, total), make([]uint8, total)
-	if cfg.UseSC {
-		t.sc = newStatCorrector(cfg.SCBiasEntries, cfg.SCGEntries)
-	}
-	if cfg.UseLoop {
-		t.loop = newLoopPredictor(cfg.Seed^0x100b, cfg.LoopSets)
-	}
+	t.sc = newStatCorrector(cfg.SCBiasEntries, cfg.SCGEntries)
+	t.loop = newLoopPredictor(cfg.Seed^0x100b, cfg.LoopSets)
 	return t
 }
 
@@ -322,16 +344,12 @@ func (t *Tage) lookup(pc uint64, hs *History) lookupResult {
 func (t *Tage) Predict(pc uint64, hs *History) bool {
 	res := t.lookup(pc, hs)
 	pred := res.tagePred
-	if t.loop != nil {
-		if lp, ok, conf := t.loop.predict(pc); ok && conf {
-			pred = lp
-		}
+	if lp, ok, conf := t.loop.predict(pc); ok && conf {
+		pred = lp
 	}
-	if t.sc != nil && res.provider >= 0 {
-		if weakCtr(t.ctr[res.providerPos]) {
-			if scPred, use := t.sc.predict(pc, hs, pred); use {
-				pred = scPred
-			}
+	if res.provider >= 0 && weakCtr(t.ctr[res.providerPos]) {
+		if scPred, use := t.sc.predict(pc, hs, pred); use {
+			pred = scPred
 		}
 	}
 	return pred
@@ -346,25 +364,21 @@ func (t *Tage) Access(pc uint64, taken bool, hs *History) bool {
 	pred := res.tagePred
 	finalIsLoop := false
 
-	if t.loop != nil {
-		if lp, ok, conf := t.loop.predict(pc); ok && conf {
-			pred = lp
-			finalIsLoop = true
-			t.stats.LoopHits++
-		}
+	if lp, ok, conf := t.loop.predict(pc); ok && conf {
+		pred = lp
+		finalIsLoop = true
+		t.stats.LoopHits++
 	}
 
 	scUsed := false
 	scPred := pred
-	if t.sc != nil && res.provider >= 0 && !finalIsLoop {
-		if weakCtr(t.ctr[res.providerPos]) {
-			if sp, use := t.sc.predict(pc, hs, res.tagePred); use {
-				scPred = sp
-				scUsed = true
-				if sp != pred {
-					t.stats.SCFlips++
-					pred = sp
-				}
+	if res.provider >= 0 && !finalIsLoop && weakCtr(t.ctr[res.providerPos]) {
+		if sp, use := t.sc.predict(pc, hs, res.tagePred); use {
+			scPred = sp
+			scUsed = true
+			if sp != pred {
+				t.stats.SCFlips++
+				pred = sp
 			}
 		}
 	}
@@ -387,10 +401,8 @@ func weakCtr(c int8) bool { return c == 0 || c == -1 }
 
 // train applies the TAGE update rules.
 func (t *Tage) train(pc uint64, taken bool, hs *History, res lookupResult, scUsed bool, scPred bool) {
-	if t.loop != nil {
-		t.loop.update(pc, taken, res.tagePred)
-	}
-	if t.sc != nil && scUsed {
+	t.loop.update(pc, taken, res.tagePred)
+	if scUsed {
 		t.sc.update(pc, hs, taken, scPred)
 	}
 
@@ -513,12 +525,8 @@ func (t *Tage) FlushTagged() {
 	clear(t.tagv)
 	clear(t.ctr)
 	clear(t.u)
-	if t.sc != nil {
-		t.sc.flush()
-	}
-	if t.loop != nil {
-		t.loop.flush()
-	}
+	t.sc.flush()
+	t.loop.flush()
 }
 
 // Flush clears all predictor state including the base.
@@ -531,19 +539,7 @@ func (t *Tage) Flush() {
 // StorageBits returns the predictor storage cost in bits, excluding the
 // swappable base (query the Bimodal separately when accounting for
 // replicated bases).
-func (t *Tage) StorageBits() int {
-	n := 0
-	for _, s := range t.cfg.Tables {
-		n += s.Entries * s.entryBits()
-	}
-	if t.sc != nil {
-		n += t.sc.storageBits()
-	}
-	if t.loop != nil {
-		n += t.loop.storageBits()
-	}
-	return n
-}
+func (t *Tage) StorageBits() int { return t.cfg.StorageBits() }
 
 // NumTables returns the number of tagged tables.
 func (t *Tage) NumTables() int { return len(t.banks) }
