@@ -114,16 +114,16 @@ serve:
 loadtest:
 	$(GO) run ./cmd/hybpload -addr http://127.0.0.1:8080 -clients 8 -n 64
 
-# bench writes BENCH_PR17.json: full micro-benchmarks (median of 3 runs
-# each, diffed against the pinned BENCH_PR8.json report first, so the
+# bench writes BENCH_PR21.json: full micro-benchmarks (median of 3 runs
+# each, diffed against the pinned BENCH_PR17.json report first, so the
 # regression table is part of the run) plus a timed cold `hybpexp -scale
 # quick all` at -j 1 and again at -j 2 (the -j 2 output must digest to the
 # same FNV) and a warm rerun. The report's baseline block (cold seconds,
-# StepHyBP ns/op) is read from BENCH_PR8.json, which stays as recorded.
-# Takes minutes; run on an otherwise idle machine or the wall-clock is
-# noise.
+# StepHyBP ns/op) is read from BENCH_PR17.json; earlier reports stay as
+# recorded, so point -out at a new file rather than an old one. Takes
+# minutes; run on an otherwise idle machine or the wall-clock is noise.
 bench:
-	$(GO) run ./cmd/hybpbench -out BENCH_PR17.json -baseline BENCH_PR8.json
+	$(GO) run ./cmd/hybpbench -out BENCH_PR21.json -baseline BENCH_PR17.json
 
 # benchsmoke compiles and runs every benchmark for exactly one iteration
 # and skips the experiment timing — the cheap CI gate.

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 
 	"hybp"
 	"hybp/internal/sim"
@@ -21,6 +22,27 @@ import (
 
 // attacks lists the accepted attack names.
 const attacks = "ppp|gem|blind|pht|poc|rsa|all"
+
+// allAttacks is every attack, in the order "all" runs them.
+var allAttacks = []string{"blind", "pht", "gem", "ppp", "poc", "rsa"}
+
+// attackList resolves the command-line names to the attacks to run, in
+// order, with "all" standing for every attack. It checks every name before
+// anything runs, so a typo after a long attack is reported at once.
+func attackList(names []string) ([]string, error) {
+	var out []string
+	for _, name := range names {
+		if name == "all" {
+			out = append(out, allAttacks...)
+			continue
+		}
+		if !slices.Contains(allAttacks, name) {
+			return nil, fmt.Errorf("unknown attack %q (want %s)", name, attacks)
+		}
+		out = append(out, name)
+	}
+	return out, nil
+}
 
 func main() {
 	var (
@@ -37,6 +59,11 @@ func main() {
 	}
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: hybpattack [flags] "+attacks)
+		os.Exit(2)
+	}
+	names, err := attackList(flag.Args())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -118,20 +145,11 @@ func main() {
 			pht := hybp.PHTTrainingPoC(newBPU(*seed), att, vic, cfg)
 			fmt.Printf("PHT training: success %.2f%%  (follow rate %.2f%%)\n",
 				100*pht.SuccessRate(), 100*pht.FollowRate())
-		default:
-			fmt.Fprintf(os.Stderr, "unknown attack %q (want %s)\n", name, attacks)
-			os.Exit(2)
 		}
 		fmt.Println()
 	}
 
-	for _, name := range flag.Args() {
-		if name == "all" {
-			for _, n := range []string{"blind", "pht", "gem", "ppp", "poc", "rsa"} {
-				run(n)
-			}
-			continue
-		}
+	for _, name := range names {
 		run(name)
 	}
 }

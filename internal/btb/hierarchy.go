@@ -106,7 +106,7 @@ func (h *Hierarchy) Insert(pc, target uint64, owner uint16) {
 		idx, tag := h.mapping(lv, pc)
 		h.levels[lv].Invalidate(idx, tag)
 	}
-	h.insertAt(0, Entry{PC: pc, Target: target, Owner: owner, Valid: true})
+	h.insertAt(0, Entry{PC: pc, Target: target, Owner: owner})
 }
 
 // insertAt places e at level lv, demoting eviction victims down the

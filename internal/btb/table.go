@@ -27,7 +27,9 @@ type Entry struct {
 	Target uint64
 	PC     uint64
 	Owner  uint16
-	Valid  bool
+	// gen is the table generation the entry was written in; a stored
+	// entry is valid only while gen equals its table's generation.
+	gen uint32
 }
 
 // Config describes a set-associative table.
@@ -68,9 +70,15 @@ type Stats struct {
 }
 
 // Table is a set-associative predictor table.
+//
+// Validity is a generation stamp: a stored entry is valid only while its
+// stamp equals the table's generation, so Flush invalidates every entry by
+// advancing the generation instead of writing each one. Empty ways hold
+// stamp 0, which no generation takes.
 type Table struct {
 	cfg   Config
 	sets  [][]Entry
+	gen   uint32 // stamp of the valid entries; never 0
 	rand  *rng.Rand
 	stats Stats
 }
@@ -87,6 +95,7 @@ func New(cfg Config) *Table {
 	t := &Table{
 		cfg:  cfg,
 		sets: make([][]Entry, cfg.Sets),
+		gen:  1,
 		rand: rng.New(cfg.Seed ^ 0xb7b7b7b7),
 	}
 	backing := make([]Entry, cfg.Sets*cfg.Ways)
@@ -128,9 +137,9 @@ func (t *Table) maskIndex(index uint64) int {
 // Lookup searches the set at index for tag. On a hit it returns the entry.
 func (t *Table) Lookup(index, tag uint64) (Entry, bool) {
 	t.stats.Lookups++
-	set := t.sets[t.maskIndex(index)]
+	set, gen := t.sets[t.maskIndex(index)], t.gen
 	for w := range set {
-		if set[w].Valid && set[w].Tag == tag {
+		if set[w].gen == gen && set[w].Tag == tag {
 			t.stats.Hits++
 			return set[w], true
 		}
@@ -142,9 +151,9 @@ func (t *Table) Lookup(index, tag uint64) (Entry, bool) {
 // Probe is Lookup without statistics side effects; used by oracles and
 // invariant checks that must not perturb measurements.
 func (t *Table) Probe(index, tag uint64) (Entry, bool) {
-	set := t.sets[t.maskIndex(index)]
+	set, gen := t.sets[t.maskIndex(index)], t.gen
 	for w := range set {
-		if set[w].Valid && set[w].Tag == tag {
+		if set[w].gen == gen && set[w].Tag == tag {
 			return set[w], true
 		}
 	}
@@ -156,19 +165,19 @@ func (t *Table) Probe(index, tag uint64) (Entry, bool) {
 // exists, else a random one) and the displaced entry, if any, is returned
 // with evicted=true.
 func (t *Table) Insert(index uint64, e Entry) (victim Entry, evicted bool) {
-	set := t.sets[t.maskIndex(index)]
-	e.Valid = true
+	set, gen := t.sets[t.maskIndex(index)], t.gen
+	e.gen = gen
 
 	for w := range set {
-		if set[w].Valid && set[w].Tag == e.Tag {
+		if set[w].gen == gen && set[w].Tag == e.Tag {
 			set[w] = e
 			t.stats.Updates++
 			return Entry{}, false
 		}
 	}
-	// Prefer an invalid way.
+	// Prefer an invalid way: an empty one or one written before a flush.
 	for w := range set {
-		if !set[w].Valid {
+		if set[w].gen != gen {
 			set[w] = e
 			t.stats.Inserts++
 			return Entry{}, false
@@ -188,9 +197,9 @@ func (t *Table) Insert(index uint64, e Entry) (victim Entry, evicted bool) {
 // Invalidate removes the entry matching tag at index, reporting whether an
 // entry was removed.
 func (t *Table) Invalidate(index, tag uint64) bool {
-	set := t.sets[t.maskIndex(index)]
+	set, gen := t.sets[t.maskIndex(index)], t.gen
 	for w := range set {
-		if set[w].Valid && set[w].Tag == tag {
+		if set[w].gen == gen && set[w].Tag == tag {
 			set[w] = Entry{}
 			return true
 		}
@@ -198,12 +207,16 @@ func (t *Table) Invalidate(index, tag uint64) bool {
 	return false
 }
 
-// Flush invalidates every entry.
+// Flush invalidates every entry in O(1) by advancing the generation.
+// Only when the generation wraps, once in 2^32−1 flushes, are the entries
+// cleared, so that no stamp written before the wrap can match again.
 func (t *Table) Flush() {
-	for _, set := range t.sets {
-		for w := range set {
-			set[w] = Entry{}
+	t.gen++
+	if t.gen == 0 {
+		for _, set := range t.sets {
+			clear(set)
 		}
+		t.gen = 1
 	}
 	t.stats.Flushes++
 }
@@ -213,20 +226,20 @@ func (t *Table) Flush() {
 func (t *Table) ValidCount() int {
 	n := 0
 	for _, set := range t.sets {
-		for w := range set {
-			if set[w].Valid {
-				n++
-			}
-		}
+		n += t.occupancy(set)
 	}
 	return n
 }
 
 // SetOccupancy returns the number of valid entries in the set at index.
 func (t *Table) SetOccupancy(index uint64) int {
+	return t.occupancy(t.sets[t.maskIndex(index)])
+}
+
+func (t *Table) occupancy(set []Entry) int {
 	n := 0
-	for _, e := range t.sets[t.maskIndex(index)] {
-		if e.Valid {
+	for w := range set {
+		if set[w].gen == t.gen {
 			n++
 		}
 	}
@@ -238,7 +251,7 @@ func (t *Table) SetOccupancy(index uint64) int {
 func (t *Table) ForEach(fn func(set, way int, e Entry)) {
 	for s, set := range t.sets {
 		for w := range set {
-			if set[w].Valid {
+			if set[w].gen == t.gen {
 				fn(s, w, set[w])
 			}
 		}

@@ -1,6 +1,7 @@
 package btb
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -200,5 +201,84 @@ func TestForEachDeterministic(t *testing.T) {
 	tbl.ForEach(func(set, way int, e Entry) { order = append(order, e.PC) })
 	if len(order) != 2 || order[0] != 20 || order[1] != 10 {
 		t.Fatalf("ForEach order = %v, want set-major [20 10]", order)
+	}
+}
+
+// TestFlushHidesEveryEntry: after the O(1) Flush no read path sees an
+// entry written before it, and Insert reuses the stale ways exactly as it
+// would the empty ways of a new table — the same ways, no evictions and no
+// replacement draws — so a flushed table evolves like a new one.
+func TestFlushHidesEveryEntry(t *testing.T) {
+	tbl, fresh := New(testConfig()), New(testConfig())
+	for i := 0; i < 200; i++ {
+		tbl.Insert(uint64(i), Entry{Tag: uint64(i % 7), Target: uint64(i), PC: uint64(i)})
+	}
+	tbl.Flush()
+	for i := 0; i < 200; i++ {
+		if _, ok := tbl.Lookup(uint64(i), uint64(i%7)); ok {
+			t.Fatalf("Lookup hit entry %d after flush", i)
+		}
+		if _, ok := tbl.Probe(uint64(i), uint64(i%7)); ok {
+			t.Fatalf("Probe hit entry %d after flush", i)
+		}
+		if tbl.Invalidate(uint64(i), uint64(i%7)) {
+			t.Fatalf("Invalidate removed entry %d after flush", i)
+		}
+	}
+	if n := tbl.ValidCount(); n != 0 {
+		t.Fatalf("ValidCount after flush = %d", n)
+	}
+	tbl.ForEach(func(set, way int, e Entry) { t.Fatalf("ForEach visited set %d way %d after flush", set, way) })
+	// The flushed table burned no replacement draws; let both tables
+	// draw from here on and compare them after every insert.
+	state := *tbl.rand
+	fresh.rand = &state
+	for i := 0; i < 500; i++ {
+		e := Entry{Tag: uint64(i % 11), Target: uint64(i), PC: uint64(3 * i)}
+		gv, gev := tbl.Insert(uint64(3*i), e)
+		wv, wev := fresh.Insert(uint64(3*i), e)
+		if gev != wev || gv.Tag != wv.Tag || gv.Target != wv.Target || gv.PC != wv.PC {
+			t.Fatalf("insert %d: flushed table evicted (%+v, %v), new table (%+v, %v)", i, gv, gev, wv, wev)
+		}
+		if i < 16 && gev {
+			t.Fatalf("insert %d evicted from a flushed table with stale ways free", i)
+		}
+	}
+	var got, want []Entry
+	tbl.ForEach(func(_, _ int, e Entry) { got = append(got, e) })
+	fresh.ForEach(func(_, _ int, e Entry) { want = append(want, e) })
+	if len(got) != len(want) {
+		t.Fatalf("flushed table holds %d entries, new table %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Tag != want[i].Tag || got[i].Target != want[i].Target || got[i].PC != want[i].PC {
+			t.Fatalf("entry %d: flushed table %+v, new table %+v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestFlushGenerationWrap: when the generation counter wraps, Flush clears
+// the entries, so an entry stamped with a generation from before the wrap
+// cannot come back to life when that generation is reached again.
+func TestFlushGenerationWrap(t *testing.T) {
+	tbl := New(testConfig())
+	tbl.Insert(1, Entry{Tag: 5, Target: 9}) // stamped with generation 1
+	tbl.gen = math.MaxUint32                // the test hook: the last generation before the wrap
+	tbl.Insert(2, Entry{Tag: 6, Target: 10})
+	if tbl.ValidCount() != 1 {
+		t.Fatalf("ValidCount = %d, want 1 (the entry of the current generation)", tbl.ValidCount())
+	}
+	tbl.Flush()
+	if tbl.gen != 1 {
+		t.Fatalf("generation after the wrap = %d, want 1", tbl.gen)
+	}
+	if _, ok := tbl.Lookup(1, 5); ok {
+		t.Fatal("an entry stamped before the wrap is valid again")
+	}
+	if n := tbl.ValidCount(); n != 0 {
+		t.Fatalf("ValidCount after the wrapping flush = %d", n)
+	}
+	if s := tbl.Stats(); s.Flushes != 1 {
+		t.Fatalf("Flushes = %d, want 1", s.Flushes)
 	}
 }

@@ -12,6 +12,12 @@
 // as 256 40-bit words. Execution does not stall during a refresh; lookups
 // that race the fill simply read stale keys, costing only mispredictions
 // (Section V-D), which the timing model charges.
+//
+// The simulator computes a code book's keys on first use rather than at
+// the refresh: a table that is refreshed again before any read never runs
+// the cipher over its book. The modelled refresh timing, the stale-key
+// window and every key read are unchanged by this; only the host cost
+// moves from the refresh to the first read.
 package keys
 
 import (
@@ -59,14 +65,18 @@ func DefaultConfig(seed uint64) Config {
 
 // Table is one randomized index keys table plus its content key — the key
 // material of one (thread, privilege) context.
+//
+// A refresh records the new book's cipher inputs; the first Key or Window
+// that reads the book computes it. The previous book is read only inside
+// the refresh window, so it is computed only if a stale read needs it.
 type Table struct {
 	cfg         Config
-	keys        []uint64 // current code book (post-refresh values)
-	old         []uint64 // previous code book, visible during the fill window
+	cur, prev   book // current code book and the previous one, visible during the fill window
 	contentKey  uint64
 	keysPerWord int
 	words       []uint64    // SRAM-word scratch for the batch fill
 	bulk        cipher.Bulk // non-nil when cfg.Cipher batches (QARMA does)
+	window      []uint64    // Window's result inside a refresh window
 
 	seedTweak    uint64 // derived from (ASID, VMID, RAND); no software visibility
 	epoch        uint64 // increments every refresh
@@ -77,7 +87,16 @@ type Table struct {
 	refreshes uint64 // total refreshes (stats)
 }
 
-// NewTable builds a Table and performs an initial, instantaneous fill (the
+// book is one code book and the cipher inputs of the epoch it serves. Its
+// keys are stored twice over (keys[i] == keys[i+Entries]), so the keys of
+// n consecutive entries are one slice that never wraps.
+type book struct {
+	keys         []uint64
+	timer, tweak uint64 // the fill's cipher inputs
+	filled       bool   // keys hold the fill of (timer, tweak)
+}
+
+// NewTable builds a Table whose code book holds its reset-time fill (the
 // hardware fills the code book at reset, long before cycle 0 of any
 // measurement).
 func NewTable(cfg Config) *Table {
@@ -96,15 +115,17 @@ func NewTable(cfg Config) *Table {
 	}
 	t := &Table{
 		cfg:         cfg,
-		keys:        make([]uint64, cfg.Entries),
-		old:         make([]uint64, cfg.Entries),
 		keysPerWord: kpw,
 		words:       make([]uint64, (cfg.Entries+kpw-1)/kpw),
 		seedTweak:   rng.Mix64(cfg.Seed ^ 0x1D8AF),
 	}
 	t.bulk, _ = cfg.Cipher.(cipher.Bulk)
-	t.fill()
-	copy(t.old, t.keys)
+	t.cur.keys = make([]uint64, 2*cfg.Entries)
+	t.prev.keys = make([]uint64, 2*cfg.Entries)
+	t.begin()
+	// Before the first refresh the previous book is a copy of the current
+	// one; no read reaches it, since no refresh window is open.
+	t.prev.timer, t.prev.tweak = t.cur.timer, t.cur.tweak
 	return t
 }
 
@@ -115,34 +136,52 @@ func (t *Table) Bind(asid, vmid uint16) {
 	t.seedTweak = rng.Mix64(uint64(asid)<<32|uint64(vmid)<<16) ^ rng.Mix64(t.cfg.Seed^0x1D8AF)
 }
 
-// fill regenerates the code book with the cipher, modeling the Figure 4
+// begin starts a new epoch in the current book, modeling the Figure 4
 // datapath: the cipher encrypts a sequence of timer readouts under the
-// index seed, and successive ciphertexts fill successive SRAM words. The
-// whole refresh runs under the single tweak seed⊕epoch, so the words are
-// produced as one batch when the cipher supports it — the tweak schedule
-// is expanded once instead of once per word.
-func (t *Table) fill() {
+// index seed, and successive ciphertexts fill successive SRAM words, all
+// under the single tweak seed⊕epoch. The content key is one more block
+// and is computed here; the words are computed by fill when first read.
+func (t *Table) begin() {
 	t.epoch++
-	mask := uint64(1)<<uint(t.cfg.KeyBits) - 1
-	timer := t.refreshStart ^ rng.Mix64(t.epoch^t.seedTweak)
-	tweak := t.seedTweak ^ t.epoch
+	b := &t.cur
+	b.timer = t.refreshStart ^ rng.Mix64(t.epoch^t.seedTweak)
+	b.tweak = t.seedTweak ^ t.epoch
+	b.filled = false
+	t.contentKey = t.cfg.Cipher.Encrypt(b.timer^0xC0FFEE, b.tweak)
+}
+
+// fill computes b's keys from its cipher inputs. The words are produced as
+// one batch when the cipher supports it, so the tweak schedule is expanded
+// once instead of once per word.
+func (t *Table) fill(b *book) {
 	if t.bulk != nil {
-		t.bulk.EncryptBlocks(t.words, timer, tweak)
+		t.bulk.EncryptBlocks(t.words, b.timer, b.tweak)
 	} else {
 		for w := range t.words {
-			t.words[w] = t.cfg.Cipher.Encrypt(timer+uint64(w), tweak)
+			t.words[w] = t.cfg.Cipher.Encrypt(b.timer+uint64(w), b.tweak)
 		}
 	}
+	mask := uint64(1)<<uint(t.cfg.KeyBits) - 1
+	n := t.cfg.Entries
 	for w, word := range t.words {
 		for k := 0; k < t.keysPerWord; k++ {
 			i := w*t.keysPerWord + k
-			if i >= t.cfg.Entries {
+			if i >= n {
 				break
 			}
-			t.keys[i] = (word >> (uint(k) * uint(t.cfg.KeyBits))) & mask
+			key := (word >> (uint(k) * uint(t.cfg.KeyBits))) & mask
+			b.keys[i], b.keys[i+n] = key, key
 		}
 	}
-	t.contentKey = t.cfg.Cipher.Encrypt(timer^0xC0FFEE, tweak)
+	b.filled = true
+}
+
+// read returns b's keys, computing them on first use.
+func (t *Table) read(b *book) []uint64 {
+	if !b.filled {
+		t.fill(b)
+	}
+	return b.keys
 }
 
 // RefreshLatency is the number of cycles a full code-book refresh takes:
@@ -157,13 +196,13 @@ func (t *Table) RefreshLatency() int {
 // the background, and the access counter resets. Lookups during the fill
 // window return stale keys for not-yet-written entries.
 func (t *Table) Refresh(now uint64) {
-	// If a refresh is still in flight, the new one supersedes it; the
-	// not-yet-fresh entries keep their pre-previous values, which is the
-	// conservative (more stale) assumption.
-	copy(t.old, t.keys)
+	// If a refresh is still in flight, the new one supersedes it: the
+	// stale keys are the superseded epoch's, whose fill was never seen
+	// whole, which is the conservative (more stale) assumption.
+	t.cur, t.prev = t.prev, t.cur
 	t.refreshStart = now
 	t.refreshEnd = now + uint64(t.RefreshLatency())
-	t.fill()
+	t.begin()
 	t.accesses = 0
 	t.refreshes++
 }
@@ -185,10 +224,33 @@ func (t *Table) entryIndex(pc uint64) int {
 // window of an in-flight refresh.
 func (t *Table) Key(pc uint64, now uint64) uint64 {
 	i := t.entryIndex(pc)
+	b := &t.cur
 	if now < t.refreshEnd && now < t.freshAt(i) {
-		return t.old[i]
+		b = &t.prev
 	}
-	return t.keys[i]
+	return t.read(b)[i]
+}
+
+// Window returns the index keys of the n PC groups from pc's on,
+// Key(pc+2j, now) for j in [0, n), as HyBP's TAGE reads one per tagged
+// table. Outside a refresh window it is a slice of the current code book;
+// inside one (or when n exceeds Entries, so the groups wrap past the
+// book's end more than once) it is a vector in the table's scratch. Either
+// way it is valid until the table's next Refresh or Window call, and must
+// not be written.
+func (t *Table) Window(pc uint64, now uint64, n int) []uint64 {
+	if now < t.refreshEnd || n > t.cfg.Entries {
+		if cap(t.window) < n {
+			t.window = make([]uint64, n)
+		}
+		w := t.window[:n]
+		for j := range w {
+			w[j] = t.Key(pc+uint64(j)<<1, now)
+		}
+		return w
+	}
+	i := t.entryIndex(pc)
+	return t.read(&t.cur)[i : i+n : i+n]
 }
 
 // KeyStale reports whether a Key lookup at cycle now would return a stale

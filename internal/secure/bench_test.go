@@ -84,15 +84,38 @@ func BenchmarkPartitionAccess(b *testing.B) {
 	benchMechanism(b, NewPartition(Config{Threads: 1, Seed: 7}))
 }
 
-// BenchmarkHyBPContextSwitch times the switch cost (key refresh + private
-// flush), the paper's per-timeslice overhead.
-func BenchmarkHyBPContextSwitch(b *testing.B) {
-	h := NewHyBP(Config{Threads: 1, Seed: 7})
+// benchSwitch times a context switch together with the work it leaves to
+// the next accesses: the switch on thread 0, then the user context's first
+// conditional taken branch (TAGE and BTB both read) one cycle later,
+// inside HyBP's refresh window, and again once the window has closed. So
+// a cost that moves out of OnContextSwitch into the first accesses — HyBP
+// computing its new code book on first read — is still charged here.
+func benchSwitch(b *testing.B, bpu BPU, windowEnd uint64) {
+	b.Helper()
+	ctx := Context{Thread: 0, ASID: 10}
+	br := Branch{PC: 0x4000_1000, Target: 0x4000_2000, Taken: true, Kind: Cond}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.OnContextSwitch(0, uint16(10+i%2), uint64(i)*4_000_000)
+		now := uint64(i) * 4_000_000
+		bpu.OnContextSwitch(0, uint16(10+i%2), now)
+		bpu.Access(ctx, br, now+1)
+		bpu.Access(ctx, br, now+windowEnd)
 	}
+}
+
+// BenchmarkHyBPContextSwitch times HyBP's per-timeslice overhead: key
+// refresh of both privilege tables and the private flushes, plus the
+// first accesses that read the new keys (benchSwitch).
+func BenchmarkHyBPContextSwitch(b *testing.B) {
+	h := NewHyBP(Config{Threads: 1, Seed: 7})
+	benchSwitch(b, h, uint64(h.KeysManager().Table(keys.ContextID{}).RefreshLatency()))
+}
+
+// BenchmarkFlushContextSwitch times Flush's switch — every table cleared —
+// plus the same first accesses, for comparison with HyBP's.
+func BenchmarkFlushContextSwitch(b *testing.B) {
+	benchSwitch(b, NewFlush(Config{Threads: 1, Seed: 7}), 263)
 }
 
 // TestHyBPAccessZeroAllocs pins the full secure-BPU access path

@@ -63,7 +63,11 @@ type hybpContext struct {
 	base   *tage.Bimodal
 	stack  *ras.Stack
 	keys   *keys.Table
-	xform  tage.IndexTransform
+	// tagKeys holds, per TAGE tagged table, the slice of the content key
+	// XORed into that table's tags; it is recomputed when the keys table's
+	// epoch moves past tagEpoch.
+	tagKeys  []uint64
+	tagEpoch uint64
 }
 
 // NewHyBP builds the mechanism.
@@ -101,14 +105,7 @@ func NewHyBP(cfg Config) *HyBP {
 				return kt.Key(pc, h.now), kt.ContentKey() & (1<<btbTagBits - 1)
 			})
 		hc.ps = predictorSet{btb: hierarchy, tage: h.shared}
-		// TAGE tagged tables: per-table index/tag randomization from the
-		// same code book (BTB and PHT share the random tables, Section
-		// VI-C); the per-table tweak decorrelates the thirty tables.
-		hc.xform = func(table int, pc, idx, tag uint64) (uint64, uint64) {
-			k := kt.Key(pc+uint64(table)<<1, h.now)
-			ck := kt.ContentKey() >> (uint(table) % 32)
-			return idx ^ k, tag ^ (ck & 0x7FF)
-		}
+		hc.tagKeys = make([]uint64, h.shared.NumTables())
 		h.privPart[ctx.id()] = hc
 	}
 	h.base = g.storageBits()
@@ -140,14 +137,32 @@ func (h *HyBP) Access(ctx Context, br Branch, now uint64) Result {
 	}
 
 	// The shared TAGE serves every context: point it at this context's
-	// bimodal base and index transform before a conditional reads it.
+	// bimodal base and keys before a conditional reads it.
 	if br.Kind == Cond {
 		h.shared.SetBase(hc.base)
-		h.shared.SetIndexTransform(hc.xform)
+		h.shared.SetKeys(hc.keys.Window(br.PC, now, len(hc.tagKeys)), hc.tageTagKeys())
 	}
 	res := hc.ps.access(br, h.hist[ctx.Thread], hc.stack, ctx.id(), hc.keys.ContentKey())
 	res.StaleKey = stale
 	return res
+}
+
+// tageTagKeys returns the context's TAGE tag keys for the current epoch.
+//
+// TAGE's tagged tables are randomized per table from the same key material
+// as the BTB (BTB and PHT share the random tables, Section VI-C): table ti
+// XORs code-book key Key(pc+2ti) into its index — Window's ti-th key, so
+// the per-table tweak decorrelates the thirty tables — and bits ti%32 up
+// of the content key, cut to 11 bits, into its tag.
+func (hc *hybpContext) tageTagKeys() []uint64 {
+	if e := hc.keys.Epoch(); e != hc.tagEpoch {
+		ck := hc.keys.ContentKey()
+		for ti := range hc.tagKeys {
+			hc.tagKeys[ti] = ck >> (uint(ti) % 32) & 0x7FF
+		}
+		hc.tagEpoch = e
+	}
+	return hc.tagKeys
 }
 
 // OnContextSwitch implements BPU: the incoming software context gets fresh

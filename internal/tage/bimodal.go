@@ -11,27 +11,29 @@ package tage
 // context (shaded in the paper's Figure 3(b)); mechanisms achieve that by
 // instantiating one Bimodal per context; HyBP points its shared TAGE at the
 // accessing context's base before every conditional branch.
+//
+// The hysteresis array is stored inverted (a 0 byte is hysteresis 1, the
+// weak-not-taken start), so a new or flushed predictor is all zero bytes
+// and Flush is two clears.
 type Bimodal struct {
 	pred     []byte // 1 bit per entry: predicted direction
-	hyst     []byte // 1 bit per pair of entries: confidence
+	hystInv  []byte // 1 bit per pair of entries: confidence, inverted
 	predMask uint64
 }
 
 // NewBimodal builds a bimodal base with predEntries prediction bits
-// (must be a power of two) and predEntries/2 hysteresis bits.
+// (must be a power of two) and predEntries/2 hysteresis bits, every
+// counter weakly not-taken (prediction 0, hysteresis 1), matching common
+// practice.
 func NewBimodal(predEntries int) *Bimodal {
 	if predEntries <= 0 || predEntries&(predEntries-1) != 0 {
 		panic("tage: bimodal entries must be a positive power of two")
 	}
-	b := &Bimodal{
+	return &Bimodal{
 		pred:     make([]byte, predEntries),
-		hyst:     make([]byte, predEntries/2),
+		hystInv:  make([]byte, predEntries/2),
 		predMask: uint64(predEntries - 1),
 	}
-	for i := range b.hyst {
-		b.hyst[i] = 1 // weakly not-taken start, matching common practice
-	}
-	return b
 }
 
 func (b *Bimodal) index(pc uint64) uint64 { return (pc >> 1) & b.predMask }
@@ -44,7 +46,7 @@ func (b *Bimodal) Predict(pc uint64) bool {
 // Update trains the 2-bit (prediction, shared hysteresis) counter.
 func (b *Bimodal) Update(pc uint64, taken bool) {
 	i := b.index(pc)
-	state := b.pred[i]<<1 | b.hyst[i/2]
+	state := b.pred[i]<<1 | (b.hystInv[i/2] ^ 1)
 	if taken {
 		if state < 3 {
 			state++
@@ -55,17 +57,13 @@ func (b *Bimodal) Update(pc uint64, taken bool) {
 		}
 	}
 	b.pred[i] = state >> 1
-	b.hyst[i/2] = state & 1
+	b.hystInv[i/2] = state&1 ^ 1
 }
 
 // Flush resets the predictor to its initial state.
 func (b *Bimodal) Flush() {
-	for i := range b.pred {
-		b.pred[i] = 0
-	}
-	for i := range b.hyst {
-		b.hyst[i] = 1
-	}
+	clear(b.pred)
+	clear(b.hystInv)
 }
 
 // StorageBits returns the storage cost in bits.

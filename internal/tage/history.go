@@ -10,11 +10,11 @@
 // 1K entries each, signed prediction counters and useful counters. A
 // statistical corrector and a loop predictor complete the SC-L part.
 //
-// Like the BTB substrate, the tagged tables accept an injected index/tag
-// transform so the secure mechanisms (internal/secure) can partition or
-// randomize them without forking predictor logic, and the base predictor is
-// a swappable component so HyBP can physically isolate it per (thread,
-// privilege) context.
+// The tagged tables take per-table index and tag keys as data (SetKeys),
+// XORed in before masking, so HyBP (internal/secure) can randomize them per
+// context without forking predictor logic; every other mechanism leaves
+// them zero. The base predictor is a swappable component so HyBP can
+// physically isolate it per (thread, privilege) context.
 package tage
 
 // HistoryBuffer is a circular global-history bit buffer. Bit 0 is the most
@@ -72,60 +72,61 @@ func (h *HistoryBuffer) Reset() {
 // foldSet packs one tagged table's three folds (index width, tag width,
 // tag width − 1) into three 24-bit lanes of a single uint64, so the
 // per-branch fold maintenance — the hottest loop in the simulator — costs
-// one load, one store, and lane-parallel shift/XOR math per table instead
-// of three separate read-modify-writes. The lane arithmetic is exactly
-// the single-fold reference's shift per lane (foldedHistory in the tests;
-// TestFoldSetMatchesFoldedHistory pins the equivalence): all folds share a
-// compLen ≤ 11, so a lane value never exceeds 12 bits after the shift-in
-// and the 24-bit lane spacing keeps the per-lane fold shifts from
-// contaminating a neighbor below its comp mask.
+// one load, one store, and lane-parallel shift/XOR/add math per table
+// instead of three separate read-modify-writes. The lane arithmetic is
+// exactly the single-fold reference's shift per lane (foldedHistory in the
+// tests; TestFoldSetMatchesFoldedHistory pins the equivalence). New bounds
+// every compLen to at most 15 (11 in the paper's geometry), so a lane
+// holds at most 16 bits after the shift-in, and the 24-bit lane spacing
+// (16 bits for the top lane) keeps every lane's carry out of its neighbor.
 type foldSet struct {
 	packed   uint64 // lanes at bits 0 (index), 24 (tag), 48 (tag-1)
 	outMask  uint64 // oldBit injection point (1<<outPoint) per lane
+	ovMask   uint64 // overflow bit (1<<compLen) per lane
 	compMask uint64 // (1<<compLen)-1 per lane
 	origLen  uint16 // shared original history window length
-	cIdx     uint8  // compLen of the index lane
-	cTag0    uint8  // compLen of the tag lane
-	cTag1    uint8  // compLen of the tag-1 lane
 }
 
 // foldLaneBits is the lane spacing; foldLaneMask covers one lane and
-// foldLaneLSB has a 1 in each lane's LSB.
+// foldLaneLSB has a 1 in each lane's LSB. foldCarry adds 2^15−1 to every
+// lane: added to a lane holding only its overflow bit 1<<compLen (compLen
+// ≤ 15), it sets the lane's bit 15 exactly when that bit is set, and
+// carries no further.
 const (
 	foldLaneBits = 24
 	foldLaneMask = 1<<foldLaneBits - 1
 	foldLaneLSB  = 1 | 1<<foldLaneBits | 1<<(2*foldLaneBits)
+	foldCarryBit = 15
+	foldCarry    = (1<<foldCarryBit - 1) * foldLaneLSB
 )
 
 // newFoldSet builds the folds of an origLen-bit window into idxBits,
 // tagBits and tagBits-1 bits. Each lane folds its outgoing bit back in at
 // outPoint = origLen mod compLen.
 func newFoldSet(origLen, idxBits, tagBits int) foldSet {
-	f := foldSet{origLen: uint16(origLen), cIdx: uint8(idxBits), cTag0: uint8(tagBits), cTag1: uint8(tagBits - 1)}
+	f := foldSet{origLen: uint16(origLen)}
 	for lane, compLen := range [3]int{idxBits, tagBits, tagBits - 1} {
 		at := foldLaneBits * uint(lane)
 		f.outMask |= 1 << (at + uint(origLen%compLen))
+		f.ovMask |= 1 << (at + uint(compLen))
 		f.compMask |= (1<<uint(compLen) - 1) << at
 	}
 	return f
 }
 
-// shift folds the newest bit in and oldBit out of all three lanes at once.
-// Per lane this is exactly the reference fold's shift: shift-in, XOR the
-// outgoing bit at outPoint, fold the overflow bit (comp >> compLen, which
-// is a single bit because a lane holds ≤ compLen+1 bits here) back into
-// the LSB, then mask to compLen. The three overflow bits sit at distinct
-// positions above every lane's LSB, so all three fold-backs read the same
-// shifted-in value. Cross-lane garbage from the per-lane fold shifts lands
-// above each comp mask and is cleared by the final AND. The shift counts
-// are masked with 63 (a no-op: every compLen is below 24) so they compile
-// to bare shifts.
-func (f *foldSet) shift(newBit, oldBit uint64) {
-	p := f.packed<<1 | (-newBit)&foldLaneLSB
+// shift folds the newest bit in and oldBit out of all three lanes at once;
+// in is the newest bit replicated into every lane's LSB
+// ((-newBit)&foldLaneLSB). Per lane this is exactly the reference fold's
+// shift: shift-in, XOR the outgoing bit at outPoint, fold the overflow bit
+// (comp >> compLen, a single bit because a lane holds ≤ compLen+1 bits
+// here) back into the LSB, then mask to compLen. The fold-back needs no
+// per-lane variable shift: adding foldCarry to the isolated overflow bits
+// moves each one to its lane's bit 15, and one constant shift brings all
+// three down to the LSBs.
+func (f *foldSet) shift(in, oldBit uint64) {
+	p := f.packed<<1 | in
 	p ^= (-oldBit) & f.outMask
-	p ^= p>>(f.cIdx&63)&1 |
-		p>>(f.cTag0&63)&(1<<foldLaneBits) |
-		p>>(f.cTag1&63)&(1<<(2*foldLaneBits))
+	p ^= ((p & f.ovMask) + foldCarry) >> foldCarryBit & foldLaneLSB
 	f.packed = p & f.compMask
 }
 
@@ -149,8 +150,8 @@ type History struct {
 // outgoing bit depends only on the window length, which the three lanes of
 // a table's foldSet share — so each table costs one read of the pushed
 // window and one lane-parallel shift. This loop is the hottest in the
-// simulator after the lookup; keep it free of wrap checks, divisions and
-// per-table reloads of the buffer.
+// simulator after the lookup; keep it free of wrap checks, divisions,
+// variable shifts and per-table reloads of the buffer.
 func (hs *History) Update(pc uint64, taken bool) {
 	var newBit uint64
 	if taken {
@@ -158,10 +159,11 @@ func (hs *History) Update(pc uint64, taken bool) {
 	}
 	win := hs.ghr.push(byte(newBit))
 	hs.path = (hs.path << 1) | ((pc >> 2) & 1)
+	in := (-newBit) & foldLaneLSB
 	folds := hs.folds
 	for i := range folds {
 		f := &folds[i]
-		f.shift(newBit, uint64(win[f.origLen]))
+		f.shift(in, uint64(win[f.origLen]))
 	}
 }
 

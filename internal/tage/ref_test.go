@@ -21,7 +21,9 @@ type refTage struct {
 	masks    []uint64
 	tagMasks []uint64
 	base     *Bimodal
-	xform    IndexTransform
+	// idxKeys and tagKeys, when set, are XORed into table ti's index and
+	// tag before masking, as Tage.SetKeys specifies.
+	idxKeys, tagKeys []uint64
 
 	useAltOnNA int8
 	tick       uint64
@@ -72,14 +74,12 @@ func newRef(cfg Config) *refTage {
 func (t *refTage) index(ti int, pc uint64, hs *refHistory) (uint64, uint64) {
 	f := &hs.folds[ti]
 	idx := (pc >> 1) ^ (pc >> uint(1+ti)) ^ uint64(f[0].comp) ^ (hs.path & 0x3F)
-	idx &= t.masks[ti]
-	tag := ((pc >> 1) ^ uint64(f[1].comp) ^ (uint64(f[2].comp) << 1)) & t.tagMasks[ti]
-	if t.xform != nil {
-		idx, tag = t.xform(ti, pc, idx, tag)
-		idx &= t.masks[ti]
-		tag &= t.tagMasks[ti]
+	tag := (pc >> 1) ^ uint64(f[1].comp) ^ (uint64(f[2].comp) << 1)
+	if t.idxKeys != nil {
+		idx ^= t.idxKeys[ti]
+		tag ^= t.tagKeys[ti]
 	}
-	return idx, tag
+	return idx & t.masks[ti], tag & t.tagMasks[ti]
 }
 
 func (t *refTage) lookup(pc uint64, hs *refHistory) refLookup {
@@ -404,12 +404,14 @@ func TestHistoryBufferMatchesModularRing(t *testing.T) {
 	}
 }
 
-// keyedTransform is a HyBP-style transform: a per-(pc, table) key XORed
-// into the index and a per-table slice of a content key into the tag.
-func keyedTransform(table int, pc, idx, tag uint64) (uint64, uint64) {
-	k := (pc + uint64(table)<<1) * 0x9E3779B97F4A7C15 >> 17
-	ck := uint64(0xC3A5C85C97CB3127) >> (uint(table) % 32)
-	return idx ^ k, tag ^ (ck & 0x7FF)
+// hybpKeys fills HyBP-shaped keys for the branch at pc: a per-(pc, table)
+// index key as wide as a hash gives (the mask must cut it) and a per-table
+// slice of a content key for the tag, as internal/secure derives them.
+func hybpKeys(pc uint64, idx, tag []uint64) {
+	for ti := range idx {
+		idx[ti] = (pc + uint64(ti)<<1) * 0x9E3779B97F4A7C15 >> 17
+		tag[ti] = uint64(0xC3A5C85C97CB3127) >> (uint(ti) % 32) & 0x7FF
+	}
 }
 
 // TestTageMatchesReference drives the flat-bank Tage and the
@@ -445,19 +447,19 @@ func TestTageMatchesReference(t *testing.T) {
 		cfg   Config
 		fails bool // the stream must make allocation fail
 	}{{"default", DefaultConfig(2), false}, {"30x64", small, false}, {"3x16", tiny, true}} {
-		for _, xf := range []struct {
-			name string
-			fn   IndexTransform
-		}{{"identity", nil}, {"keyed", keyedTransform}} {
+		for _, keyed := range []bool{false, true} {
 			for _, threads := range []int{1, 2} {
-				name := g.name + "/" + xf.name
+				name := g.name + "/identity"
+				if keyed {
+					name = g.name + "/keyed"
+				}
 				if threads == 2 {
 					name += "/smt"
 				}
 				t.Run(name, func(t *testing.T) {
 					got, want := New(g.cfg), newRef(g.cfg)
-					got.SetIndexTransform(xf.fn)
-					want.xform = xf.fn
+					idxKeys := make([]uint64, len(g.cfg.Tables))
+					tagKeys := make([]uint64, len(g.cfg.Tables))
 					var ghs []*History
 					var whs []*refHistory
 					for range threads {
@@ -496,6 +498,13 @@ func TestTageMatchesReference(t *testing.T) {
 						last[th] <<= 1
 						if taken {
 							last[th] |= 1
+						}
+						if keyed {
+							// Keys change with every branch, as HyBP's
+							// code-book window does.
+							hybpKeys(pc, idxKeys, tagKeys)
+							got.SetKeys(idxKeys, tagKeys)
+							want.idxKeys, want.tagKeys = idxKeys, tagKeys
 						}
 						if i%7 == 0 {
 							if gp, wp := got.Predict(pc, ghs[th]), want.Predict(pc, whs[th]); gp != wp {

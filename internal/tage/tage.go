@@ -118,11 +118,13 @@ func (c Config) StorageBits() int {
 	return n + c.LoopSets*loopWays*loopEntryBits
 }
 
-// IndexTransform remaps a tagged table's (index, tag) pair for the branch
-// at pc. HyBP injects each context's keyed permutation here (keyed by PC
-// group, as its randomized index keys table is); every other mechanism
-// leaves it nil, the identity mapping.
-type IndexTransform func(table int, pc, index, tag uint64) (uint64, uint64)
+// maxTables bounds the tagged-table count: lookup masks table ti's PC
+// shift count 1+ti with 63. maxEntries bounds a table's size: its index
+// fold is at most 15 bits wide, the width foldSet.shift's carry handles.
+const (
+	maxTables  = 63
+	maxEntries = 1 << foldCarryBit
+)
 
 // tagValid marks an occupied tagged entry: the tag array holds
 // tag|tagValid, so an empty entry (0) matches no lookup and a lookup
@@ -157,8 +159,9 @@ type Stats struct {
 
 // Tage is a TAGE-SC-L direction predictor.
 //
-// The tagged tables are shared structures (subject to the injected
-// IndexTransform); the bimodal base is a swappable component so mechanisms
+// The tagged tables are shared structures, keyed per access by the index
+// and tag keys SetKeys installs (HyBP's randomization; zero for every
+// other mechanism); the bimodal base is a swappable component so mechanisms
 // can physically isolate it per context; per-thread speculation history
 // lives in History values created by NewHistory.
 type Tage struct {
@@ -175,7 +178,9 @@ type Tage struct {
 	// fills it, and allocate reads it instead of hashing again.
 	slots []slot
 	base  *Bimodal
-	xform IndexTransform
+	// idxKeys and tagKeys are XORed into each table's index and tag
+	// before masking: HyBP's per-context keys, or zeroKeys.
+	idxKeys, tagKeys []uint64
 
 	useAltOnNA int8 // 4-bit counter choosing alt prediction for fresh entries
 	tick       uint64
@@ -193,7 +198,7 @@ func New(cfg Config) *Tage {
 	if len(cfg.Tables) == 0 {
 		panic("tage: config needs at least one tagged table")
 	}
-	if len(cfg.Tables) > 63 {
+	if len(cfg.Tables) > maxTables {
 		panic("tage: config allows at most 63 tagged tables")
 	}
 	t := &Tage{
@@ -203,10 +208,14 @@ func New(cfg Config) *Tage {
 		base:  NewBimodal(cfg.BimodalEntries),
 		rand:  rng.New(cfg.Seed ^ 0x7a6e),
 	}
+	t.SetKeys(nil, nil)
 	total := 0
 	for i, spec := range cfg.Tables {
 		if spec.Entries <= 0 || spec.Entries&(spec.Entries-1) != 0 {
 			panic("tage: table entries must be a positive power of two")
+		}
+		if spec.Entries > maxEntries {
+			panic("tage: a tagged table holds at most 32768 entries")
 		}
 		if spec.TagBits < 2 || spec.TagBits > 15 {
 			panic("tage: tag width must be 2 to 15 bits")
@@ -247,9 +256,26 @@ func bitsFor(n int) int {
 	return b
 }
 
-// SetIndexTransform injects xf into tagged-table accesses (nil restores the
-// identity mapping).
-func (t *Tage) SetIndexTransform(xf IndexTransform) { t.xform = xf }
+// zeroKeys is the unkeyed mapping's key slice: XORing zero changes no
+// index or tag, so an unkeyed lookup runs the same loop as a keyed one.
+var zeroKeys [maxTables]uint64
+
+// SetKeys makes idx[ti] and tag[ti] the keys XORed into tagged table ti's
+// index and tag (before masking to the table's size and tag width) until
+// the next SetKeys. HyBP sets its accessing context's keys before every
+// conditional branch; nil for both restores the plain mapping. Non-nil
+// slices must hold one key per tagged table. The predictor reads the
+// slices in place, so the caller must not change them while they are set.
+func (t *Tage) SetKeys(idx, tag []uint64) {
+	n := len(t.banks)
+	if idx == nil && tag == nil {
+		idx, tag = zeroKeys[:n], zeroKeys[:n]
+	}
+	if len(idx) != n || len(tag) != n {
+		panic("tage: SetKeys needs one index key and one tag key per tagged table")
+	}
+	t.idxKeys, t.tagKeys = idx, tag
+}
 
 // SetBase swaps the bimodal base predictor (HyBP's per-context physical
 // isolation); it returns the previous base.
@@ -284,8 +310,8 @@ type lookupResult struct {
 // and the alternate, so every table above the provider is always recorded.
 //
 // Each table's index and tag hash is computed inline from locals: the
-// loop body is a handful of register operations plus the tag load, and
-// only the injected transform (when set) costs a call. Table ti's PC
+// loop body is a handful of register operations, two key loads and the tag
+// load, with no call and no branch on whether keys are set. Table ti's PC
 // term is pc >> (1+ti); New caps the table count at 63, so masking the
 // count with 63 changes nothing and drops Go's oversized-shift guard.
 func (t *Tage) lookup(pc uint64, hs *History) lookupResult {
@@ -294,20 +320,16 @@ func (t *Tage) lookup(pc uint64, hs *History) lookupResult {
 	banks := t.banks
 	slots := t.slots[:len(banks)] // same length as banks: no bounds checks below
 	folds := hs.folds[:len(banks)]
-	tagv, xform := t.tagv, t.xform
+	idxKeys, tagKeys := t.idxKeys[:len(banks)], t.tagKeys[:len(banks)]
+	tagv := t.tagv
 	pc1, path := pc>>1, hs.path&0x3F
 	for ti := len(banks) - 1; ti >= 0; ti-- {
 		b := &banks[ti]
 		p := folds[ti].packed
-		idx := (pc1 ^ pc>>((1+uint(ti))&63) ^ p&foldLaneMask ^ path) & b.mask
+		idx := (pc1 ^ pc>>((1+uint(ti))&63) ^ p&foldLaneMask ^ path ^ idxKeys[ti]) & b.mask
 		// The tag mask (at most 15 bits, see New) also clears the tag-1
 		// lane that p>>foldLaneBits leaves above the tag lane.
-		tag := (pc1 ^ p>>foldLaneBits ^ p>>(2*foldLaneBits)<<1) & b.tagMask
-		if xform != nil {
-			idx, tag = xform(ti, pc, idx, tag)
-			idx &= b.mask
-			tag &= b.tagMask
-		}
+		tag := (pc1 ^ p>>foldLaneBits ^ p>>(2*foldLaneBits)<<1 ^ tagKeys[ti]) & b.tagMask
 		pos, tw := b.off+idx, uint16(tag)|tagValid
 		slots[ti] = slot{pos: pos, tag: tw}
 		if tagv[pos] == tw {
@@ -463,8 +485,8 @@ func (t *Tage) train(pc uint64, taken bool, hs *History, res lookupResult, scUse
 // provider, per the TAGE allocation rule: pick among u==0 candidates
 // (randomized start to avoid ping-pong), and on total failure decay the
 // candidates' useful counters. The candidates are the entries lookup just
-// recorded: it visited every table above the provider, the history has not
-// moved since, and the index transform is a pure function of its inputs.
+// recorded: it visited every table above the provider, and neither the
+// history nor the keys have moved since.
 func (t *Tage) allocate(taken bool, provider int) {
 	slots := t.slots
 	start := provider + 1

@@ -105,14 +105,19 @@ func TestFoldedHistoryMatchesRecompute(t *testing.T) {
 
 func TestFoldSetMatchesFoldedHistory(t *testing.T) {
 	// The lane-packed foldSet must evolve exactly like three independent
-	// reference folds sharing a window, across arbitrary outcome streams
-	// and the paper geometry's extreme widths (compLen 7..11, index width
-	// 10, including the tag-1 lane).
+	// reference folds sharing a window, across arbitrary outcome streams,
+	// the paper geometry's extreme widths (compLen 7..11, index width 10,
+	// including the tag-1 lane), the 1/16 attack geometry's 6-bit index
+	// and the widest fold New accepts (a 15-bit index, 15-bit tags).
 	for _, g := range []struct{ histLen, idxBits, tagBits int }{
 		{23, 9, 8},
 		{640, 10, 11},
 		{5, 10, 8},
 		{130, 10, 11},
+		{4, 6, 8},
+		{640, 6, 11},
+		{97, 6, 11},
+		{1000, 15, 15},
 	} {
 		h := NewHistoryBuffer(g.histLen + 64)
 		fs := newFoldSet(g.histLen, g.idxBits, g.tagBits)
@@ -129,7 +134,7 @@ func TestFoldSetMatchesFoldedHistory(t *testing.T) {
 				newBit = 1
 			}
 			oldBit := uint64(h.Bit(g.histLen))
-			fs.shift(newBit, oldBit)
+			fs.shift((-newBit)&foldLaneLSB, oldBit)
 			for i := range refs {
 				refs[i].shift(uint32(newBit), uint32(oldBit))
 			}
@@ -161,7 +166,8 @@ func TestHistoryResetMatchesFresh(t *testing.T) {
 			t.Fatalf("%d tables: reset history differs from a fresh one", len(cfg.Tables))
 		}
 		for i, f := range hs.folds {
-			for lane, compLen := range [3]uint8{f.cIdx, f.cTag0, f.cTag1} {
+			spec := cfg.Tables[i]
+			for lane, compLen := range [3]int{bitsFor(spec.Entries), spec.TagBits, spec.TagBits - 1} {
 				ref := newFolded(int(f.origLen), int(compLen))
 				ref.reset(hs.ghr)
 				got := f.packed >> (foldLaneBits * uint(lane)) & (1<<foldLaneBits - 1)
@@ -205,6 +211,57 @@ func TestBimodalValidation(t *testing.T) {
 		}
 	}()
 	NewBimodal(100)
+}
+
+// TestBimodalMatchesSharedCounters checks the inverted hysteresis storage
+// against the plain model: a 2-bit counter per entry whose low bit is
+// shared by each pair of entries, starting weakly not-taken (0b01).
+func TestBimodalMatchesSharedCounters(t *testing.T) {
+	b := NewBimodal(256)
+	pred, hyst := make([]byte, 256), make([]byte, 128)
+	for i := range hyst {
+		hyst[i] = 1
+	}
+	r := rng.New(5)
+	for step := 0; step < 20000; step++ {
+		pc := r.Uint64()
+		i := pc >> 1 & 255
+		if b.Predict(pc) != (pred[i] == 1) {
+			t.Fatalf("step %d: Predict(%#x) = %v, counter model %d", step, pc, b.Predict(pc), pred[i])
+		}
+		taken := r.Bool(0.6)
+		state := pred[i]<<1 | hyst[i/2]
+		if taken && state < 3 {
+			state++
+		} else if !taken && state > 0 {
+			state--
+		}
+		pred[i], hyst[i/2] = state>>1, state&1
+		b.Update(pc, taken)
+	}
+}
+
+// TestBimodalFlushMatchesNew: after Flush a trained Bimodal is a new one,
+// field for field and prediction for prediction.
+func TestBimodalFlushMatchesNew(t *testing.T) {
+	b := NewBimodal(1024)
+	r := rng.New(8)
+	for i := 0; i < 5000; i++ {
+		b.Update(r.Uint64(), r.Bool(0.7))
+	}
+	b.Flush()
+	fresh := NewBimodal(1024)
+	if !reflect.DeepEqual(b, fresh) {
+		t.Fatal("flushed bimodal differs from a new one")
+	}
+	for i := 0; i < 5000; i++ {
+		pc, taken := r.Uint64(), r.Bool(0.5)
+		if b.Predict(pc) != fresh.Predict(pc) {
+			t.Fatalf("step %d: flushed and new bimodal predict differently", i)
+		}
+		b.Update(pc, taken)
+		fresh.Update(pc, taken)
+	}
 }
 
 // runPattern feeds branches to a predictor and returns its accuracy over
@@ -362,15 +419,15 @@ func TestSetBaseSwap(t *testing.T) {
 	}
 }
 
-func TestIndexTransformChangesMapping(t *testing.T) {
-	// With a transform installed, a trained branch's tagged entries become
+func TestSetKeysChangesMapping(t *testing.T) {
+	// With new keys installed, a trained branch's tagged entries become
 	// unreachable — the randomization property HyBP uses on the PHT.
 	p := New(SmallConfig(10))
 	hs := p.NewHistory()
 	pattern := []bool{true, true, false, true, false, false, true}
 	acc := runPattern(p, hs, func(i int) (uint64, bool) { return 0xC000, pattern[i%len(pattern)] }, 3000, 2000)
 	if acc < 0.9 {
-		t.Skipf("pattern not learned (acc=%v); cannot test transform", acc)
+		t.Skipf("pattern not learned (acc=%v); cannot test keys", acc)
 	}
 	// At steady state, tagged providers serve the history-dependent
 	// contexts of the pattern.
@@ -384,18 +441,49 @@ func TestIndexTransformChangesMapping(t *testing.T) {
 	// Immediately after a key change, every previously trained tagged
 	// entry must be unreachable: the first pass over the pattern's
 	// contexts sees zero provider hits (the logical-isolation property).
-	p.SetIndexTransform(func(table int, pc, idx, tag uint64) (uint64, uint64) {
-		return idx ^ 0x55, tag ^ 0x2AA
-	})
+	idx, tag := make([]uint64, p.NumTables()), make([]uint64, p.NumTables())
+	for ti := range idx {
+		idx[ti], tag[ti] = 0x55, 0x2AA
+	}
+	p.SetKeys(idx, tag)
 	p.ResetStats()
 	for i := 0; i < len(pattern); i++ {
 		p.Access(0xC000, pattern[i%len(pattern)], hs)
 	}
 	if got := p.Stats().ProviderHits; got != 0 {
-		t.Fatalf("provider hits right after transform change = %d, want 0", got)
+		t.Fatalf("provider hits right after key change = %d, want 0", got)
 	}
 	if p.Stats().Allocations == 0 {
-		t.Fatal("no reallocation after transform change; predictor not relearning")
+		t.Fatal("no reallocation after key change; predictor not relearning")
+	}
+}
+
+// TestSetKeysValidation: nil keys restore the plain mapping, and keys of
+// the wrong length are refused rather than read out of range.
+func TestSetKeysValidation(t *testing.T) {
+	p := New(SmallConfig(1))
+	p.SetKeys(nil, nil)
+	if len(p.idxKeys) != p.NumTables() || len(p.tagKeys) != p.NumTables() {
+		t.Fatalf("nil keys give %d/%d keys, want %d", len(p.idxKeys), len(p.tagKeys), p.NumTables())
+	}
+	for _, k := range append(p.idxKeys, p.tagKeys...) {
+		if k != 0 {
+			t.Fatal("nil keys are not the zero keys")
+		}
+	}
+	for _, keys := range [][2][]uint64{
+		{make([]uint64, p.NumTables()-1), make([]uint64, p.NumTables())},
+		{make([]uint64, p.NumTables()), nil},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetKeys accepted %d index and %d tag keys for %d tables",
+						len(keys[0]), len(keys[1]), p.NumTables())
+				}
+			}()
+			p.SetKeys(keys[0], keys[1])
+		}()
 	}
 }
 
@@ -413,6 +501,22 @@ func TestNewRejectsTooManyTables(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("New accepted 64 tagged tables")
+		}
+	}()
+	New(cfg)
+}
+
+// TestNewRejectsTooLargeTables: foldSet.shift's carry folds an index of at
+// most 15 bits, so New refuses a table above 32768 entries instead of
+// folding its history wrongly.
+func TestNewRejectsTooLargeTables(t *testing.T) {
+	cfg := SmallConfig(1)
+	cfg.Tables = []TableSpec{{Entries: 1 << 15, TagBits: 15, UBits: 1, HistLen: 640}}
+	New(cfg)
+	cfg.Tables[0].Entries = 1 << 16
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a 65536-entry tagged table")
 		}
 	}()
 	New(cfg)
