@@ -157,8 +157,10 @@ profile:
 	    -cpuprofile $(PROFILE_OUT) all > /dev/null
 	$(GO) tool pprof -top -flat -nodecount=10 $(PROFILE_OUT)
 
-# record regenerates the EXPERIMENTS.md reference run.
+# record regenerates the EXPERIMENTS.md reference runs: every table and
+# figure, then Section VI's security analysis, which `all` leaves out.
 record:
 	$(GO) run ./cmd/hybpexp -scale medium -nbench 4 -nmix 4 \
 	    -cycles 36000000 -warmup 4000000 \
 	    -intervals "256000,4000000,16000000" all > experiments_record.txt
+	$(GO) run ./cmd/hybpexp security > security_record.txt

@@ -14,7 +14,9 @@
 //	hybpexp [-scale tiny|quick|medium|full] [-nbench N] [-nmix N] [-intervals list] \
 //	        [-j N] [-cachedir DIR] [-progress] [-json] [-faults SPEC] \
 //	        [-worklisten ADDR [-minworkers N] [-leasettl D]] \
-//	        table1|table3|table6|fig2|fig5|fig6|fig7|fig8|tournament|brb|seeds|cost|all
+//	        table1|table3|table6|fig2|fig5|fig6|fig7|fig8|tournament|brb|seeds|cost|security|all
+//
+// all runs every experiment but security (Section VI), which runs by name.
 //
 // -worklisten turns the run into a cluster coordinator: hybpworker
 // processes lease sim points over the work API and results come back
@@ -52,7 +54,7 @@ import (
 	"hybp/internal/workload"
 )
 
-const usage = "usage: hybpexp [flags] table1|table3|table6|fig2|fig5|fig6|fig7|fig8|tournament|brb|seeds|cost|all"
+var usage = "usage: hybpexp [flags] " + strings.Join(append(sim.ValidExperiments(), "all"), "|")
 
 func main() {
 	var (
@@ -164,7 +166,7 @@ func main() {
 		}
 		if !sim.ValidExperiment(name) {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q (valid: %s, all)\n",
-				name, strings.Join(sim.ExperimentNames(), ", "))
+				name, strings.Join(sim.ValidExperiments(), ", "))
 			os.Exit(2)
 		}
 		names = append(names, name)

@@ -57,6 +57,10 @@ func BlindContentionOptimum(S, W, nMax int) (bestN int, bestP float64) {
 	return bestN, bestP
 }
 
+// UpperLevelFilter is the coarse model's L0·L1 filter factor at the
+// paper's geometry: blind contention pays it on top of n/P per probe.
+const UpperLevelFilter = 16 * 512
+
 // BlindContentionExpectedAccesses is the expected accesses to probe one
 // secret bit: n/P at the optimal n, multiplied by the upper-level filter
 // factor (the probability the victim's branch even resides in the shared
@@ -123,7 +127,7 @@ func PPPAccessEstimate(S, W int, perRunAccesses float64, successProb float64) fl
 	}
 	if perRunAccesses == 0 {
 		// Default per-run cost model, calibrated against the simulated
-		// Algorithm 1 (see the hybpattack CLI): pruning touches all S·W
+		// Algorithm 1 (see `hybpexp security`): pruning touches all S·W
 		// candidates a few times, and each binary-search level re-tests
 		// its group with repeated expectation measurements — ≈180 total
 		// touches per candidate for the paper's geometry (≈1.3M accesses

@@ -70,7 +70,7 @@ type SimRequest struct {
 }
 
 // ExperimentRequest configures one named paper experiment (see
-// sim.ExperimentNames). Scale resolves a preset; the explicit overrides
+// sim.ValidExperiments). Scale resolves a preset; the explicit overrides
 // are applied after, and the fully resolved scale is what the job is
 // content-addressed by.
 type ExperimentRequest struct {
@@ -354,10 +354,10 @@ func normalizeSim(s SimRequest) (SimRequest, error) {
 
 func normalizeExperiment(e ExperimentRequest) (ExperimentRequest, error) {
 	if e.Name == "" {
-		return e, fmt.Errorf("experiment.name is required (valid: %s)", strings.Join(sim.ExperimentNames(), ", "))
+		return e, fmt.Errorf("experiment.name is required (valid: %s)", strings.Join(sim.ValidExperiments(), ", "))
 	}
 	if !sim.ValidExperiment(e.Name) {
-		return e, fmt.Errorf("unknown experiment %q (valid: %s)", e.Name, strings.Join(sim.ExperimentNames(), ", "))
+		return e, fmt.Errorf("unknown experiment %q (valid: %s)", e.Name, strings.Join(sim.ValidExperiments(), ", "))
 	}
 	if e.Scale == "" {
 		e.Scale = "quick"

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"hybp/internal/workload"
@@ -27,15 +28,18 @@ func ExperimentNames() []string {
 	}
 }
 
+// ExperimentSecurity names Section VI's security analysis. It stays out of
+// ExperimentNames, so `hybpexp all` skips it: its four 10,000-iteration
+// PoCs took 36.6 s + 39.7 s serially on a 2-vCPU VM, and make bench, make
+// profile and the full chaos run all run `all`.
+const ExperimentSecurity = "security"
+
+// ValidExperiments lists every name Experiment dispatches: ExperimentNames,
+// then ExperimentSecurity.
+func ValidExperiments() []string { return append(ExperimentNames(), ExperimentSecurity) }
+
 // ValidExperiment reports whether name dispatches.
-func ValidExperiment(name string) bool {
-	for _, n := range ExperimentNames() {
-		if n == name {
-			return true
-		}
-	}
-	return false
-}
+func ValidExperiment(name string) bool { return slices.Contains(ValidExperiments(), name) }
 
 // ScaleNames lists the scale presets ParseScale accepts.
 func ScaleNames() []string { return []string{"tiny", "quick", "medium", "full"} }
@@ -75,13 +79,13 @@ func ParseMechanism(name string) (MechanismID, error) {
 }
 
 // Experiment runs one named experiment on the Runner with the front ends'
-// shared per-experiment defaults (Table III's 200 iterations, Figure 8's
-// overhead sweep, the quadratic sweeps' four-benchmark cap). nil benches
-// and mixes select the paper's full sets. Unknown names are an error, not
-// a panic, so servers can surface them to remote clients; so is a failed
-// Table III cell, whose zero result would otherwise read as "Defend".
-// Other experiments render failed points as zeros and leave the failure
-// to the harness's FirstErr.
+// shared per-experiment defaults (Table III's 200 PoC iterations, Section
+// VI's 10,000, Figure 8's overhead sweep, the quadratic sweeps' four-
+// benchmark cap). nil benches and mixes select the paper's full sets.
+// Unknown names are an error, not a panic, so servers can surface them to
+// remote clients; so is a failed attack trial, whose zero result would
+// otherwise read as "Defend". Other experiments render failed points as
+// zeros and leave the failure to the harness's FirstErr.
 func (r *Runner) Experiment(name string, sc Scale, benches []string, mixes []workload.Mix) (Printable, error) {
 	if len(benches) == 0 {
 		benches = workload.FigureApps()
@@ -98,6 +102,12 @@ func (r *Runner) Experiment(name string, sc Scale, benches []string, mixes []wor
 			return nil, err
 		}
 		return t, nil
+	case ExperimentSecurity:
+		s, err := r.Security(Table3Config{Iterations: 10000, Seed: sc.Seed})
+		if err != nil {
+			return nil, err
+		}
+		return s, nil
 	case "table6":
 		return r.Table6(sc, capN(benches, 4), nil), nil
 	case "fig2":
@@ -119,11 +129,11 @@ func (r *Runner) Experiment(name string, sc Scale, benches []string, mixes []wor
 	case "cost":
 		return costPrintable{HardwareCost(sc.Seed)}, nil
 	}
-	return nil, fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(ExperimentNames(), ", "))
+	return nil, fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(ValidExperiments(), ", "))
 }
 
 // ExecutePoint decodes one canonical spec off the wire — a PointSpec or a
-// Table III PoCSpec, told apart by Kind — and runs it, returning the
+// Section VI PoCSpec, told apart by Kind — and runs it, returning the
 // result's JSON encoding: the cluster worker's execution entry point.
 // Because a job is a pure function of its spec (seeds derive from the
 // spec's root seed and names, never from scheduling), the returned bytes
@@ -154,7 +164,8 @@ func decodeSpec(raw json.RawMessage) (wireSpec, error) {
 	if err := json.Unmarshal(raw, &head); err != nil {
 		return nil, specErrorf("bad point spec: %v", err)
 	}
-	if head.Kind == PointPoC {
+	switch head.Kind {
+	case PointPoC, PointPPP, PointGEM, PointRSA:
 		return decodeAs[PoCSpec](raw)
 	}
 	return decodeAs[PointSpec](raw)
@@ -181,7 +192,15 @@ func (sp PointSpec) execute() (json.RawMessage, error) {
 	return json.Marshal(sp.runThread())
 }
 
-func (c PoCSpec) execute() (json.RawMessage, error) { return json.Marshal(c.run()) }
+func (c PoCSpec) execute() (json.RawMessage, error) {
+	switch c.Kind {
+	case PointPPP, PointGEM:
+		return json.Marshal(c.evictionSet())
+	case PointRSA:
+		return json.Marshal(c.rsa())
+	}
+	return json.Marshal(c.run())
+}
 
 // SpecError reports a job spec that does not decode or cannot run.
 type SpecError struct{ msg string }

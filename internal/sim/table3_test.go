@@ -117,23 +117,106 @@ func TestTable3FailedCellIsError(t *testing.T) {
 	if p, err := r.Experiment("table3", Tiny(), nil, nil); err == nil || p != nil {
 		t.Fatalf("Experiment(table3) = %v, %v; want the cells' error", p, err)
 	}
+	// A failed security trial would print as a failed attack.
+	if sec, err := r.Security(smallTable3); !errors.As(err, &je) || sec.PoC != nil || sec.PPP != nil {
+		t.Fatalf("Security = %+v, %v; want no result and a *harness.JobError", sec, err)
+	}
+}
+
+// TestSecurityWarmCacheAndRemoteBytes is TestTable3WarmCacheAndRemoteBytes
+// for the security analysis: a warm rerun executes none of its 27 trials
+// and prints the same bytes, and every cached payload — PoC, PPP, GEM and
+// RSA — is what ExecutePoint returns for the trial's spec.
+func TestSecurityWarmCacheAndRemoteBytes(t *testing.T) {
+	dir := t.TempDir()
+	printed := func(res SecurityResult) []byte {
+		var b bytes.Buffer
+		res.Print(&b)
+		return b.Bytes()
+	}
+	r1 := newTestRunner(t, harness.Options{Workers: 2, CacheDir: dir})
+	cold, err := r1.Security(smallTable3)
+	r1.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := r1.Stats(); st.Executed != 27 || st.DiskHits != 0 {
+		t.Fatalf("cold stats = %+v, want 27 executed", st)
+	}
+	r2 := newTestRunner(t, harness.Options{Workers: 2, CacheDir: dir})
+	warm, err := r2.Security(smallTable3)
+	r2.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := r2.Stats(); st.Executed != 0 || st.DiskHits != 27 {
+		t.Fatalf("warm stats = %+v, want 0 executed and 27 disk hits", st)
+	}
+	if a, b := printed(cold), printed(warm); !bytes.Equal(a, b) {
+		t.Fatalf("warm security analysis differs from cold:\n%s\n%s", a, b)
+	}
+
+	var specs []PoCSpec
+	for _, tr := range cold.PoC {
+		specs = append(specs, tr.Spec)
+	}
+	for _, tr := range append(cold.PPP, cold.GEM) {
+		specs = append(specs, tr.Spec)
+	}
+	for _, tr := range cold.RSA {
+		specs = append(specs, tr.Spec)
+	}
+	for _, c := range specs {
+		b, err := os.ReadFile(filepath.Join(dir, c.key()+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct{ Payload json.RawMessage }
+		if err := json.Unmarshal(b, &e); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ExecutePoint(c.canon())
+		if err != nil {
+			t.Fatalf("ExecutePoint(%s): %v", c.canon(), err)
+		}
+		if !bytes.Equal(got, e.Payload) {
+			t.Errorf("%s: ExecutePoint returned %s, the job cached %s", c.key(), got, e.Payload)
+		}
+	}
 }
 
 // TestDecodeSpecRejects: specs a remote worker cannot run are *SpecErrors,
-// not panics.
+// not panics, and every attack kind the security analysis submits decodes.
 func TestDecodeSpecRejects(t *testing.T) {
 	poc := table3Cells(smallTable3)[0]
-	bad := func(edit func(*PoCSpec)) []byte {
-		c := poc
-		edit(&c)
-		return c.canon()
+	edited := func(base PoCSpec, edit func(*PoCSpec)) PoCSpec {
+		edit(&base)
+		return base
+	}
+	bad := func(edit func(*PoCSpec)) []byte { return edited(poc, edit).canon() }
+	trial := func(kind string) PoCSpec {
+		return PoCSpec{Kind: kind, Structure: "BTB", Mech: Mech(MechHyBP), SMT: true, Scale: 1.0 / 16, Seed: 3}
+	}
+	for name, c := range map[string]PoCSpec{
+		"baseline": edited(poc, func(c *PoCSpec) { c.Mech = Mech(MechBaseline) }),
+		"ppp":      trial(PointPPP),
+		"gem":      edited(trial(PointGEM), func(c *PoCSpec) { c.Mech = Mech(MechBaseline) }),
+		"rsa":      trial(PointRSA),
+	} {
+		if sp, err := decodeSpec(c.canon()); err != nil || sp != c {
+			t.Errorf("%s: decodeSpec(%s) = %+v, %v; want the spec back", name, c.canon(), sp, err)
+		}
 	}
 	cases := map[string][]byte{
 		"not json":        []byte(`{"Kind":`),
 		"unknown kind":    []byte(`{"Kind":"bogus"}`),
 		"kind not string": []byte(`{"Kind":5}`),
+		"unknown attack":  bad(func(c *PoCSpec) { c.Kind = "bogus" }),
+		"ppp iterations":  edited(trial(PointPPP), func(c *PoCSpec) { c.Iterations = 10 }).canon(),
+		"gem on PHT":      edited(trial(PointGEM), func(c *PoCSpec) { c.Structure = "PHT" }).canon(),
+		"rsa single":      edited(trial(PointRSA), func(c *PoCSpec) { c.SMT = false }).canon(),
+		"ppp brb":         edited(trial(PointPPP), func(c *PoCSpec) { c.Mech = Mech(MechBRB) }).canon(),
 		"structure":       bad(func(c *PoCSpec) { c.Structure = "RSB" }),
-		"baseline":        bad(func(c *PoCSpec) { c.Mech = Mech(MechBaseline) }),
 		"replication":     bad(func(c *PoCSpec) { c.Mech = Mech(MechReplication) }),
 		"brb":             bad(func(c *PoCSpec) { c.Mech = Mech(MechBRB) }),
 		"unknown mech":    bad(func(c *PoCSpec) { c.Mech = MechSpec{ID: "nope"} }),
@@ -155,9 +238,11 @@ func TestDecodeSpecRejects(t *testing.T) {
 }
 
 // TestPinnedJobKeys pins the content addresses of existing points, as the
-// simulator computed them before Table III's cells became jobs, and of one
-// Table III cell: a change to a spec's shape must not silently re-key
-// every cache entry.
+// simulator computed them before Table III's cells became jobs, of one
+// Table III cell and one security PoC, as they were keyed before the
+// security analysis's other attacks became PoCSpec kinds, and of one PPP
+// trial: a change to a spec's shape must not silently re-key every cache
+// entry.
 func TestPinnedJobKeys(t *testing.T) {
 	mix := workload.Mixes()[0]
 	for _, tc := range []struct {
@@ -174,6 +259,12 @@ func TestPinnedJobKeys(t *testing.T) {
 			"solo-xz-replication@1-f84968aeec6ea61f"},
 		{table3Cells(Table3Config{Iterations: 200, Seed: 2022})[11].key(),
 			"poc-pht-hybp-smt-3d5bb4a36365464f"},
+		{PoCSpec{Kind: PointPoC, Structure: "BTB", Mech: Mech(MechBaseline), SMT: true,
+			Iterations: 10000, Scale: 1.0 / 16, Seed: 2022}.key(),
+			"poc-btb-baseline-smt-8ecb2a07b852de40"},
+		{PoCSpec{Kind: PointPPP, Structure: "BTB", Mech: Mech(MechHyBP), SMT: true,
+			Scale: 1.0 / 16, Seed: 2031}.key(),
+			"ppp-btb-hybp-smt-fa0b7a4d947a8f2f"},
 	} {
 		if tc.key != tc.want {
 			t.Errorf("key = %q, want %q", tc.key, tc.want)
@@ -184,7 +275,7 @@ func TestPinnedJobKeys(t *testing.T) {
 // FuzzDecodeSpec feeds arbitrary bytes to the wire decoder cluster workers
 // run: it must never panic, must reject with a *SpecError, and every spec
 // it accepts must re-encode to canonical bytes that decode to the same
-// spec. The seed corpus in testdata/fuzz covers both spec kinds.
+// spec. The seed corpus in testdata/fuzz covers every spec kind.
 func FuzzDecodeSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		sp, err := decodeSpec(raw)
