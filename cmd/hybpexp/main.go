@@ -240,8 +240,15 @@ func main() {
 	// error is a job that exhausted its retries.
 	run := func(name string) error {
 		start := time.Now()
+		// -j changes no output, so the header leaves it out, and security
+		// reads only the seed: a record regenerated on another host keeps
+		// its first line.
 		if !*jsonOut {
-			fmt.Fprintf(out, "=== %s (scale %s, %d apps, %d mixes, -j %d) ===\n", name, *scaleName, len(benches), len(mixes), *jobs)
+			if name == sim.ExperimentSecurity {
+				fmt.Fprintf(out, "=== %s (seed %d) ===\n", name, sc.Seed)
+			} else {
+				fmt.Fprintf(out, "=== %s (scale %s, %d apps, %d mixes) ===\n", name, *scaleName, len(benches), len(mixes))
+			}
 		}
 		res, err := r.Experiment(name, sc, benches, mixes)
 		if err != nil {

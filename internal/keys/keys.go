@@ -21,6 +21,8 @@
 package keys
 
 import (
+	"math"
+
 	"hybp/internal/cipher"
 	"hybp/internal/rng"
 )
@@ -82,7 +84,11 @@ type Table struct {
 	epoch        uint64 // increments every refresh
 	refreshStart uint64 // cycle the in-flight refresh began
 	refreshEnd   uint64 // cycle the in-flight refresh completes
-	accesses     uint64 // BPU accesses since last refresh
+	// directFrom is the first cycle at which Key reads the current book
+	// directly: refreshEnd once the book is filled, never before.
+	directFrom uint64
+	idxMask    uint64 // Entries - 1
+	accesses   uint64 // BPU accesses since last refresh
 
 	refreshes uint64 // total refreshes (stats)
 }
@@ -118,6 +124,7 @@ func NewTable(cfg Config) *Table {
 		keysPerWord: kpw,
 		words:       make([]uint64, (cfg.Entries+kpw-1)/kpw),
 		seedTweak:   rng.Mix64(cfg.Seed ^ 0x1D8AF),
+		idxMask:     uint64(cfg.Entries - 1),
 	}
 	t.bulk, _ = cfg.Cipher.(cipher.Bulk)
 	t.cur.keys = make([]uint64, 2*cfg.Entries)
@@ -147,6 +154,7 @@ func (t *Table) begin() {
 	b.timer = t.refreshStart ^ rng.Mix64(t.epoch^t.seedTweak)
 	b.tweak = t.seedTweak ^ t.epoch
 	b.filled = false
+	t.directFrom = math.MaxUint64
 	t.contentKey = t.cfg.Cipher.Encrypt(b.timer^0xC0FFEE, b.tweak)
 }
 
@@ -174,6 +182,9 @@ func (t *Table) fill(b *book) {
 		}
 	}
 	b.filled = true
+	if b == &t.cur {
+		t.directFrom = t.refreshEnd
+	}
 }
 
 // read returns b's keys, computing them on first use.
@@ -217,12 +228,26 @@ func (t *Table) freshAt(i int) uint64 {
 // entryIndex selects the code-book entry for a branch PC ("indexed by a
 // part of the branch's PC", Section V-C1).
 func (t *Table) entryIndex(pc uint64) int {
-	return int((pc >> 1) & uint64(t.cfg.Entries-1))
+	return int(pc >> 1 & t.idxMask)
 }
 
 // Key returns the index key for pc at cycle now, honoring the stale-key
-// window of an in-flight refresh.
+// window of an in-flight refresh. HyBP's last-level BTB mapping calls it on
+// every access, so it is kept within the inlining budget: the common case
+// is one load from the filled current book, and the rest is keySlow.
 func (t *Table) Key(pc uint64, now uint64) uint64 {
+	if now < t.directFrom {
+		return t.keySlow(pc, now)
+	}
+	return t.cur.keys[pc>>1&t.idxMask]
+}
+
+// keySlow is Key inside a refresh window, where pc's entry may still hold
+// the previous book's key, or before the current book's first read fills
+// it. It is never inlined, so that Key can be.
+//
+//go:noinline
+func (t *Table) keySlow(pc uint64, now uint64) uint64 {
 	i := t.entryIndex(pc)
 	b := &t.cur
 	if now < t.refreshEnd && now < t.freshAt(i) {

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -188,6 +189,14 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, []string, error) {
 		n := e.Name()
 		if e.IsDir() || !strings.HasSuffix(n, ".go") || strings.HasSuffix(n, "_test.go") ||
 			strings.HasPrefix(n, ".") || strings.HasPrefix(n, "_") {
+			continue
+		}
+		// Only the files the go command would compile for this host: a
+		// package may declare one function in a _amd64.go file and again
+		// in a //go:build !amd64 one.
+		if ok, err := build.Default.MatchFile(dir, n); err != nil {
+			return nil, nil, err
+		} else if !ok {
 			continue
 		}
 		names = append(names, n)

@@ -86,6 +86,26 @@ func BenchmarkAccessRandomPC(b *testing.B) {
 	}
 }
 
+// BenchmarkLookup isolates the tagged-table lookup on the paper's
+// thirty-table geometry, over BenchmarkAccess's stream on trained tables:
+// every table's index and tag hash, the tag probes and the provider and
+// alternate choice, without the training or the history update.
+func BenchmarkLookup(b *testing.B) {
+	t := New(DefaultConfig(1))
+	hs := t.NewHistory()
+	stream := makeStream(4096)
+	for _, p := range stream {
+		t.Access(p.pc, p.taken, hs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lookupSink = t.lookup(stream[i&4095].pc, hs)
+	}
+}
+
+var lookupSink lookupResult
+
 // BenchmarkHistoryReset times the per-thread history reset every
 // context switch of Flush, Partition, Replication and HyBP performs.
 func BenchmarkHistoryReset(b *testing.B) {

@@ -322,7 +322,7 @@ type refHistory struct {
 func newRefHistory(cfg Config) *refHistory {
 	maxLen := 0
 	hs := &refHistory{folds: make([][3]foldedHistory, len(cfg.Tables))}
-	hs.sc = &History{folds: make([]foldSet, len(cfg.Tables))}
+	hs.sc = &History{fold: make([]uint64, len(cfg.Tables))}
 	for i, s := range cfg.Tables {
 		maxLen = max(maxLen, s.HistLen)
 		idxBits := bits.Len(uint(s.Entries)) - 1
@@ -361,7 +361,7 @@ func (hs *refHistory) reset() {
 func (hs *refHistory) pack() {
 	hs.sc.path = hs.path
 	for i, f := range hs.folds {
-		hs.sc.folds[i].packed = uint64(f[0].comp) | uint64(f[1].comp)<<foldLaneBits | uint64(f[2].comp)<<(2*foldLaneBits)
+		hs.sc.fold[i] = uint64(f[0].comp) | uint64(f[1].comp)<<foldLaneBits | uint64(f[2].comp)<<(2*foldLaneBits)
 	}
 }
 

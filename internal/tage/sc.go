@@ -39,10 +39,10 @@ func newStatCorrector(biasEntries, gEntries int) *statCorrector {
 
 func (sc *statCorrector) gIndex(i int, pc uint64, hs *History) uint64 {
 	ti := sc.gTable[i]
-	if ti >= len(hs.folds) {
-		ti = len(hs.folds) - 1
+	if ti >= len(hs.fold) {
+		ti = len(hs.fold) - 1
 	}
-	return ((pc >> 1) ^ hs.folds[ti].idxComp() ^ (pc >> 5)) & uint64(len(sc.g[i])-1)
+	return ((pc >> 1) ^ hs.fold[ti]&foldLaneMask ^ (pc >> 5)) & uint64(len(sc.g[i])-1)
 }
 
 // sum computes the corrector vote, centered so that each counter c

@@ -2,6 +2,7 @@ package tage
 
 import (
 	"math"
+	"math/bits"
 
 	"hybp/internal/rng"
 )
@@ -119,8 +120,9 @@ func (c Config) StorageBits() int {
 }
 
 // maxTables bounds the tagged-table count: lookup masks table ti's PC
-// shift count 1+ti with 63. maxEntries bounds a table's size: its index
-// fold is at most 15 bits wide, the width foldSet.shift's carry handles.
+// shift count 1+ti with 63, and the kernel's hit mask has one bit per
+// table. maxEntries bounds a table's size: its index fold is at most 15
+// bits wide, the width foldShift's carry handles.
 const (
 	maxTables  = 63
 	maxEntries = 1 << foldCarryBit
@@ -131,19 +133,10 @@ const (
 // compares one uint16. Tags are therefore at most 15 bits wide.
 const tagValid = 1 << 15
 
-// bank places one tagged table in the flat entry arrays.
-type bank struct {
-	off     uint64 // position of the table's entry 0
-	mask    uint64 // Entries - 1
-	tagMask uint64 // 1<<TagBits - 1
-}
-
-// slot is one table's entry for the access in flight: its position in the
-// flat arrays and the tag word a hit there holds.
-type slot struct {
-	pos uint64
-	tag uint16 // tag | tagValid
-}
+// tagvPad is the tail padding of the tag array, in entries: the lookup
+// kernel gathers 8 bytes at each table's entry, so up to 3 entries past
+// the last one are read (and ignored).
+const tagvPad = 4
 
 // Stats counts predictor activity.
 type Stats struct {
@@ -165,19 +158,28 @@ type Stats struct {
 // can physically isolate it per context; per-thread speculation history
 // lives in History values created by NewHistory.
 type Tage struct {
-	cfg   Config
-	banks []bank
+	cfg Config
+	// The bank geometry, one array per field as the lookup kernel reads
+	// it: table ti's entry 0 sits at position off[ti] of the flat arrays,
+	// its index mask is mask[ti] (Entries-1) and its tag mask tagMask[ti]
+	// (1<<TagBits-1). Like every per-table array here, each has one
+	// element per table and a zero tail up to a multiple of kernelWidth in
+	// its capacity.
+	off, mask, tagMask []uint64
 	// The tagged entries of all tables as one struct of arrays: the tag
-	// word (0 when empty), the 3-bit signed prediction counter (sign =
-	// direction) and the useful counter. Table ti owns positions
-	// [banks[ti].off, banks[ti].off+Entries).
+	// word (tag|tagValid, 0 when empty), the 3-bit signed prediction
+	// counter (sign = direction) and the useful counter. Table ti owns
+	// positions [off[ti], off[ti]+Entries). tagv's backing array has
+	// tagvPad spare zero entries for the kernel's gathers.
 	tagv []uint16
 	ctr  []int8
 	u    []uint8
-	// slots holds every table's entry for the current access: lookup
-	// fills it, and allocate reads it instead of hashing again.
-	slots []slot
-	base  *Bimodal
+	// slotPos and slotTag hold each table's entry for the current access,
+	// its position in the flat arrays and the tag word a hit there holds:
+	// lookup fills them, and allocate reads them instead of hashing again.
+	slotPos, slotTag []uint64
+	foldGeom         *foldGeom // the fold constants every History shares
+	base             *Bimodal
 	// idxKeys and tagKeys are XORed into each table's index and tag
 	// before masking: HyBP's per-context keys, or zeroKeys.
 	idxKeys, tagKeys []uint64
@@ -201,12 +203,16 @@ func New(cfg Config) *Tage {
 	if len(cfg.Tables) > maxTables {
 		panic("tage: config allows at most 63 tagged tables")
 	}
+	n := len(cfg.Tables)
 	t := &Tage{
-		cfg:   cfg,
-		banks: make([]bank, len(cfg.Tables)),
-		slots: make([]slot, len(cfg.Tables)),
-		base:  NewBimodal(cfg.BimodalEntries),
-		rand:  rng.New(cfg.Seed ^ 0x7a6e),
+		cfg:     cfg,
+		off:     padded(n),
+		mask:    padded(n),
+		tagMask: padded(n),
+		slotPos: padded(n),
+		slotTag: padded(n),
+		base:    NewBimodal(cfg.BimodalEntries),
+		rand:    rng.New(cfg.Seed ^ 0x7a6e),
 	}
 	t.SetKeys(nil, nil)
 	total := 0
@@ -220,10 +226,12 @@ func New(cfg Config) *Tage {
 		if spec.TagBits < 2 || spec.TagBits > 15 {
 			panic("tage: tag width must be 2 to 15 bits")
 		}
-		t.banks[i] = bank{off: uint64(total), mask: uint64(spec.Entries - 1), tagMask: 1<<uint(spec.TagBits) - 1}
+		t.off[i], t.mask[i], t.tagMask[i] = uint64(total), uint64(spec.Entries-1), 1<<uint(spec.TagBits)-1
 		total += spec.Entries
 	}
-	t.tagv, t.ctr, t.u = make([]uint16, total), make([]int8, total), make([]uint8, total)
+	t.tagv = make([]uint16, total+tagvPad)[:total]
+	t.ctr, t.u = make([]int8, total), make([]uint8, total)
+	t.foldGeom = newFoldGeom(cfg.Tables)
 	t.sc = newStatCorrector(cfg.SCBiasEntries, cfg.SCGEntries)
 	t.loop = newLoopPredictor(cfg.Seed^0x100b, cfg.LoopSets)
 	return t
@@ -238,14 +246,11 @@ func (t *Tage) NewHistory() *History {
 			maxLen = s.HistLen
 		}
 	}
-	hs := &History{
-		ghr:   NewHistoryBuffer(maxLen + 64),
-		folds: make([]foldSet, len(t.cfg.Tables)),
+	return &History{
+		ghr:  NewHistoryBuffer(maxLen + 64),
+		fold: padded(len(t.cfg.Tables)),
+		geom: t.foldGeom,
 	}
-	for i, s := range t.cfg.Tables {
-		hs.folds[i] = newFoldSet(s.HistLen, bitsFor(s.Entries), s.TagBits)
-	}
-	return hs
 }
 
 func bitsFor(n int) int {
@@ -267,7 +272,7 @@ var zeroKeys [maxTables]uint64
 // slices must hold one key per tagged table. The predictor reads the
 // slices in place, so the caller must not change them while they are set.
 func (t *Tage) SetKeys(idx, tag []uint64) {
-	n := len(t.banks)
+	n := len(t.off)
 	if idx == nil && tag == nil {
 		idx, tag = zeroKeys[:n], zeroKeys[:n]
 	}
@@ -305,51 +310,37 @@ type lookupResult struct {
 	tagePred    bool
 }
 
-// lookup walks the tables from the longest history down, recording each
-// visited table's entry in t.slots. It stops once it has both the provider
-// and the alternate, so every table above the provider is always recorded.
-//
-// Each table's index and tag hash is computed inline from locals: the
-// loop body is a handful of register operations, two key loads and the tag
-// load, with no call and no branch on whether keys are set. Table ti's PC
-// term is pc >> (1+ti); New caps the table count at 63, so masking the
-// count with 63 changes nothing and drops Go's oversized-shift guard.
+// lookup finds the provider (the longest-history table whose entry
+// matches) and the alternate (the next one down), recording each table's
+// entry in slotPos/slotTag for allocate. The AVX2 kernel hashes and
+// compares every table and returns the hits as a bitmask, whose top two
+// set bits are the provider and the alternate; the portable loop stops
+// once it has both. Either way every table above the provider is
+// recorded, which is all allocate reads.
 func (t *Tage) lookup(pc uint64, hs *History) lookupResult {
-	res := lookupResult{provider: -1}
-	altSet := false
-	banks := t.banks
-	slots := t.slots[:len(banks)] // same length as banks: no bounds checks below
-	folds := hs.folds[:len(banks)]
-	idxKeys, tagKeys := t.idxKeys[:len(banks)], t.tagKeys[:len(banks)]
-	tagv := t.tagv
-	pc1, path := pc>>1, hs.path&0x3F
-	for ti := len(banks) - 1; ti >= 0; ti-- {
-		b := &banks[ti]
-		p := folds[ti].packed
-		idx := (pc1 ^ pc>>((1+uint(ti))&63) ^ p&foldLaneMask ^ path ^ idxKeys[ti]) & b.mask
-		// The tag mask (at most 15 bits, see New) also clears the tag-1
-		// lane that p>>foldLaneBits leaves above the tag lane.
-		tag := (pc1 ^ p>>foldLaneBits ^ p>>(2*foldLaneBits)<<1 ^ tagKeys[ti]) & b.tagMask
-		pos, tw := b.off+idx, uint16(tag)|tagValid
-		slots[ti] = slot{pos: pos, tag: tw}
-		if tagv[pos] == tw {
-			if res.provider == -1 {
-				res.provider = ti
-				res.providerPos = pos
-				res.providerNew = t.u[pos] == 0 && weakCtr(t.ctr[pos])
-			} else {
-				res.altPred = t.ctr[pos] >= 0
-				altSet = true
-				break
-			}
-		}
+	var provider, alt int
+	if useKernels {
+		n := len(t.off)
+		hits := lookupAVX2(pc, hs.path, &hs.fold[0], &t.idxKeys[0], &t.tagKeys[0],
+			&t.off[0], &t.mask[0], &t.tagMask[0], &t.tagv[0], &t.slotPos[0], &t.slotTag[0], n)
+		hits &= 1<<uint(n) - 1 // padding lanes may match
+		provider = bits.Len64(hits) - 1
+		alt = bits.Len64(hits&^(1<<uint(provider&63))) - 1
+	} else {
+		provider, alt = t.lookupTables(pc, hs)
 	}
-	if !altSet {
+	res := lookupResult{provider: provider}
+	if alt >= 0 {
+		res.altPred = t.ctr[t.slotPos[alt]] >= 0
+	} else {
 		res.altPred = t.base.Predict(pc)
 		res.altFromBase = true
 	}
-	if res.provider >= 0 {
-		pred := t.ctr[res.providerPos] >= 0
+	if provider >= 0 {
+		pos := t.slotPos[provider]
+		res.providerPos = pos
+		res.providerNew = t.u[pos] == 0 && weakCtr(t.ctr[pos])
+		pred := t.ctr[pos] >= 0
 		if res.providerNew && t.useAltOnNA >= 0 {
 			pred = res.altPred
 		}
@@ -358,6 +349,43 @@ func (t *Tage) lookup(pc uint64, hs *History) lookupResult {
 		res.tagePred = res.altPred
 	}
 	return res
+}
+
+// lookupTables is lookup's portable path and the kernel's reference: it
+// walks the tables from the longest history down, recording each visited
+// table's entry, and returns the provider and the alternate (-1 when
+// absent) as soon as it has both.
+//
+// Each table's index and tag hash is computed inline from locals: the
+// loop body is a handful of register operations, two key loads and the tag
+// load, with no call and no branch on whether keys are set. Table ti's PC
+// term is pc >> (1+ti); New caps the table count at 63, so masking the
+// count with 63 changes nothing and drops Go's oversized-shift guard.
+func (t *Tage) lookupTables(pc uint64, hs *History) (provider, alt int) {
+	n := len(t.off)
+	off, mask, tagMask := t.off[:n], t.mask[:n], t.tagMask[:n]
+	slotPos, slotTag := t.slotPos[:n], t.slotTag[:n]
+	fold := hs.fold[:n]
+	idxKeys, tagKeys := t.idxKeys[:n], t.tagKeys[:n]
+	tagv := t.tagv
+	pc1, path := pc>>1, hs.path&0x3F
+	provider = -1
+	for ti := n - 1; ti >= 0; ti-- {
+		p := fold[ti]
+		idx := (pc1 ^ pc>>((1+uint(ti))&63) ^ p&foldLaneMask ^ path ^ idxKeys[ti]) & mask[ti]
+		// The tag mask (at most 15 bits, see New) also clears the tag-1
+		// lane that p>>foldLaneBits leaves above the tag lane.
+		tag := (pc1 ^ p>>foldLaneBits ^ p>>(2*foldLaneBits)<<1 ^ tagKeys[ti]) & tagMask[ti]
+		pos, tw := off[ti]+idx, tag|tagValid
+		slotPos[ti], slotTag[ti] = pos, tw
+		if uint64(tagv[pos]) == tw {
+			if provider >= 0 {
+				return provider, ti
+			}
+			provider = ti
+		}
+	}
+	return provider, -1
 }
 
 // Predict returns the final TAGE-SC-L prediction for pc without updating
@@ -488,31 +516,33 @@ func (t *Tage) train(pc uint64, taken bool, hs *History, res lookupResult, scUse
 // recorded: it visited every table above the provider, and neither the
 // history nor the keys have moved since.
 func (t *Tage) allocate(taken bool, provider int) {
-	slots := t.slots
+	n := len(t.off)
 	start := provider + 1
-	if start >= len(slots) {
+	if start >= n {
 		return
 	}
 	// Random skip of up to 2 tables decorrelates allocation storms.
 	start += t.rand.Intn(3)
-	if start >= len(slots) {
-		start = len(slots) - 1
+	if start >= n {
+		start = n - 1
 	}
-	for _, s := range slots[start:] {
-		if t.u[s.pos] == 0 {
-			t.tagv[s.pos] = s.tag
+	slotPos := t.slotPos[:n]
+	for ti := start; ti < n; ti++ {
+		pos := slotPos[ti]
+		if t.u[pos] == 0 {
+			t.tagv[pos] = uint16(t.slotTag[ti])
 			if taken {
-				t.ctr[s.pos] = 0
+				t.ctr[pos] = 0
 			} else {
-				t.ctr[s.pos] = -1
+				t.ctr[pos] = -1
 			}
 			t.stats.Allocations++
 			return
 		}
 	}
-	for _, s := range slots[provider+1:] {
-		if t.u[s.pos] > 0 {
-			t.u[s.pos]--
+	for _, pos := range slotPos[provider+1:] {
+		if t.u[pos] > 0 {
+			t.u[pos]--
 		}
 	}
 	t.stats.AllocFailures++
@@ -564,7 +594,7 @@ func (t *Tage) Flush() {
 func (t *Tage) StorageBits() int { return t.cfg.StorageBits() }
 
 // NumTables returns the number of tagged tables.
-func (t *Tage) NumTables() int { return len(t.banks) }
+func (t *Tage) NumTables() int { return len(t.off) }
 
 // TableSpecs returns the tagged-table geometry.
 func (t *Tage) TableSpecs() []TableSpec { return t.cfg.Tables }

@@ -30,8 +30,8 @@ func TestHistoryBuffer(t *testing.T) {
 }
 
 // foldedHistory is the reference fold: history of length origLen folded
-// (by XOR) into compLen bits, one value per fold. foldSet packs three of
-// these into lanes of one word; the tests check it against this.
+// (by XOR) into compLen bits, one value per fold. History packs three of
+// these into lanes of one word per table; the tests check it against this.
 type foldedHistory struct {
 	comp     uint32
 	origLen  uint16
@@ -74,11 +74,6 @@ func (f *foldedHistory) reset(h historyBits) {
 	}
 }
 
-// The tag lanes of a foldSet; lookup reads them straight from the packed
-// word, so only the tests name them.
-func (f *foldSet) tag0Comp() uint64 { return f.packed >> foldLaneBits & foldLaneMask }
-func (f *foldSet) tag1Comp() uint64 { return f.packed >> (2 * foldLaneBits) }
-
 func TestFoldedHistoryMatchesRecompute(t *testing.T) {
 	// Property: the incremental fold equals folding the history window
 	// from scratch, for arbitrary outcome streams.
@@ -104,12 +99,16 @@ func TestFoldedHistoryMatchesRecompute(t *testing.T) {
 }
 
 func TestFoldSetMatchesFoldedHistory(t *testing.T) {
-	// The lane-packed foldSet must evolve exactly like three independent
-	// reference folds sharing a window, across arbitrary outcome streams,
-	// the paper geometry's extreme widths (compLen 7..11, index width 10,
-	// including the tag-1 lane), the 1/16 attack geometry's 6-bit index
-	// and the widest fold New accepts (a 15-bit index, 15-bit tags).
-	for _, g := range []struct{ histLen, idxBits, tagBits int }{
+	// Each table's lane-packed folds must evolve exactly like three
+	// independent reference folds sharing its window, across arbitrary
+	// outcome streams, the paper geometry's extreme widths (compLen
+	// 7..11, index width 10, including the tag-1 lane), the 1/16 attack
+	// geometry's 6-bit index and the widest fold New accepts (a 15-bit
+	// index, 15-bit tags). The geometries are the tables of one predictor,
+	// so History.Update folds them side by side: all eight (two full
+	// kernel groups) and the first seven (a group with a padding lane),
+	// on the portable loop and, where the CPU has it, the fold kernel.
+	geoms := []struct{ histLen, idxBits, tagBits int }{
 		{23, 9, 8},
 		{640, 10, 11},
 		{5, 10, 8},
@@ -118,35 +117,41 @@ func TestFoldSetMatchesFoldedHistory(t *testing.T) {
 		{640, 6, 11},
 		{97, 6, 11},
 		{1000, 15, 15},
-	} {
-		h := NewHistoryBuffer(g.histLen + 64)
-		fs := newFoldSet(g.histLen, g.idxBits, g.tagBits)
-		refs := [3]foldedHistory{
-			newFolded(g.histLen, g.idxBits),
-			newFolded(g.histLen, g.tagBits),
-			newFolded(g.histLen, g.tagBits-1),
-		}
-		r := rng.New(uint64(g.histLen))
-		for step := 0; step < 3000; step++ {
-			h.Push(r.Bool(0.5))
-			var newBit uint64
-			if h.Bit(0) == 1 {
-				newBit = 1
-			}
-			oldBit := uint64(h.Bit(g.histLen))
-			fs.shift((-newBit)&foldLaneLSB, oldBit)
-			for i := range refs {
-				refs[i].shift(uint32(newBit), uint32(oldBit))
-			}
-			if fs.idxComp() != uint64(refs[0].comp) ||
-				fs.tag0Comp() != uint64(refs[1].comp) ||
-				fs.tag1Comp() != uint64(refs[2].comp) {
-				t.Fatalf("geom %+v step %d: foldSet lanes (%#x,%#x,%#x) != refs (%#x,%#x,%#x)",
-					g, step, fs.idxComp(), fs.tag0Comp(), fs.tag1Comp(),
-					refs[0].comp, refs[1].comp, refs[2].comp)
-			}
-		}
 	}
+	forEachPath(t, func(t *testing.T) {
+		for _, n := range []int{len(geoms), len(geoms) - 1} {
+			cfg := SmallConfig(1)
+			cfg.Tables = nil
+			for _, g := range geoms[:n] {
+				cfg.Tables = append(cfg.Tables, TableSpec{Entries: 1 << g.idxBits, TagBits: g.tagBits, UBits: 1, HistLen: g.histLen})
+			}
+			hs := New(cfg).NewHistory()
+			refs := make([][3]foldedHistory, n)
+			for i, g := range geoms[:n] {
+				refs[i] = [3]foldedHistory{
+					newFolded(g.histLen, g.idxBits),
+					newFolded(g.histLen, g.tagBits),
+					newFolded(g.histLen, g.tagBits-1),
+				}
+			}
+			r := rng.New(uint64(n))
+			for step := 0; step < 3000; step++ {
+				hs.Update(r.Uint64(), r.Bool(0.5))
+				for i, g := range geoms[:n] {
+					newBit, oldBit := uint32(hs.ghr.Bit(0)), uint32(hs.ghr.Bit(g.histLen))
+					for l := range refs[i] {
+						refs[i][l].shift(newBit, oldBit)
+					}
+					p := hs.fold[i]
+					idx, tag0, tag1 := p&foldLaneMask, p>>foldLaneBits&foldLaneMask, p>>(2*foldLaneBits)
+					if idx != uint64(refs[i][0].comp) || tag0 != uint64(refs[i][1].comp) || tag1 != uint64(refs[i][2].comp) {
+						t.Fatalf("geom %+v step %d: fold lanes (%#x,%#x,%#x) != refs (%#x,%#x,%#x)",
+							g, step, idx, tag0, tag1, refs[i][0].comp, refs[i][1].comp, refs[i][2].comp)
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestHistoryResetMatchesFresh pins the O(1) reset: after arbitrary
@@ -165,12 +170,11 @@ func TestHistoryResetMatchesFresh(t *testing.T) {
 		if fresh := p.NewHistory(); !reflect.DeepEqual(hs, fresh) {
 			t.Fatalf("%d tables: reset history differs from a fresh one", len(cfg.Tables))
 		}
-		for i, f := range hs.folds {
-			spec := cfg.Tables[i]
+		for i, spec := range cfg.Tables {
 			for lane, compLen := range [3]int{bitsFor(spec.Entries), spec.TagBits, spec.TagBits - 1} {
-				ref := newFolded(int(f.origLen), int(compLen))
+				ref := newFolded(spec.HistLen, compLen)
 				ref.reset(hs.ghr)
-				got := f.packed >> (foldLaneBits * uint(lane)) & (1<<foldLaneBits - 1)
+				got := hs.fold[i] >> (foldLaneBits * uint(lane)) & foldLaneMask
 				if ref.comp != 0 || got != 0 {
 					t.Fatalf("table %d lane %d: fold %#x, recomputed over the cleared buffer %#x, want 0",
 						i, lane, got, ref.comp)
@@ -506,7 +510,7 @@ func TestNewRejectsTooManyTables(t *testing.T) {
 	New(cfg)
 }
 
-// TestNewRejectsTooLargeTables: foldSet.shift's carry folds an index of at
+// TestNewRejectsTooLargeTables: foldShift's carry folds an index of at
 // most 15 bits, so New refuses a table above 32768 entries instead of
 // folding its history wrongly.
 func TestNewRejectsTooLargeTables(t *testing.T) {
