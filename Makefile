@@ -16,9 +16,9 @@ GO ?= go
 # keeps losing nothing. perfbench-build compiles the benchmark module,
 # which the root go build cannot see, and perfbench-check runs its three
 # simulator workloads against their pinned output digests. fuzz-smoke
-# fuzzes the decoders of untrusted bytes (job specs, traces and cache
-# files) and the fault-schedule spec parser. vet-portable keeps the
-# non-amd64 file set compiling.
+# fuzzes the decoders of untrusted bytes (job specs, hybpd job requests,
+# traces and cache files) and the fault-schedule spec parser.
+# vet-portable keeps the non-amd64 file set compiling.
 ci: fmt vet vet-portable lint build test race fuzz-smoke benchsmoke perfbench-build perfbench-check chaossmoke cluster-smoke trace-smoke journal-smoke
 
 # fmt fails when any Go file in the tree, the nested perfbench module
@@ -69,21 +69,24 @@ race:
 	$(GO) test -race -short ./internal/cluster/...
 	$(GO) test -race ./internal/server/...
 
-# fuzz-smoke fuzzes four parsers, ten seconds each past their seed
-# corpora. Three decode untrusted bytes: sim's job-spec decoder (what a
+# fuzz-smoke fuzzes five parsers, ten seconds each past their seed
+# corpora. Four decode untrusted bytes: sim's job-spec decoder (what a
 # cluster worker reads off the network; corpus in internal/sim/testdata/fuzz),
 # where every accepted spec must re-encode to canonical bytes that decode
-# to the same spec; the HYBPTRC1 trace decoder (corpus in
-# internal/trace/testdata/fuzz), where every accepted stream must re-encode
-# to the same header and events; and the harness disk-cache envelope
-# reader (corpus in internal/harness/testdata/fuzz), which may accept a
-# file only when its checksum binds a payload that decodes, and must
-# rename every other file to .bad intact. The fourth is the -faults spec
-# parser (corpus in internal/faults/testdata/fuzz), where every accepted
-# spec's Config must render to a spec that parses to the same Config. No
-# input may panic any of them.
+# to the same spec; hybpd's job-request normalization (corpus in
+# internal/server/testdata/fuzz), where every accepted request must
+# normalize again to itself and the same job key; the HYBPTRC1 trace
+# decoder (corpus in internal/trace/testdata/fuzz), where every accepted
+# stream must re-encode to the same header and events; and the harness
+# disk-cache envelope reader (corpus in internal/harness/testdata/fuzz),
+# which may accept a file only when its checksum binds a payload that
+# decodes, and must rename every other file to .bad intact. The fifth is
+# the -faults spec parser (corpus in internal/faults/testdata/fuzz), where
+# every accepted spec's Config must render to a spec that parses to the
+# same Config. No input may panic any of them.
 fuzz-smoke:
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime 10s
+	$(GO) test ./internal/server/ -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime 10s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 10s
 	$(GO) test ./internal/harness/ -run '^$$' -fuzz '^FuzzCacheGet$$' -fuzztime 10s
 	$(GO) test ./internal/faults/ -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s

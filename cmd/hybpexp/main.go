@@ -240,11 +240,12 @@ func main() {
 	// error is a job that exhausted its retries.
 	run := func(name string) error {
 		start := time.Now()
-		// -j changes no output, so the header leaves it out, and security
-		// reads only the seed: a record regenerated on another host keeps
-		// its first line.
+		// -j changes no output, so the header leaves it out, and the
+		// experiments that read only the seed print only the seed: a
+		// record regenerated on another host or at another scale keeps
+		// their headers.
 		if !*jsonOut {
-			if name == sim.ExperimentSecurity {
+			if sim.SeedOnly(name) {
 				fmt.Fprintf(out, "=== %s (seed %d) ===\n", name, sc.Seed)
 			} else {
 				fmt.Fprintf(out, "=== %s (scale %s, %d apps, %d mixes) ===\n", name, *scaleName, len(benches), len(mixes))

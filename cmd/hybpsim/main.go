@@ -72,6 +72,10 @@ func main() {
 	if mechID == sim.MechReplication {
 		m.ReplFactor = *repl
 	}
+	if err := m.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "-replication-overhead: %v\n", err)
+		os.Exit(2)
+	}
 
 	r := sim.NewDefaultRunner()
 	defer r.Close()

@@ -136,3 +136,16 @@ func TestUnknownMechanism(t *testing.T) {
 		}
 	}
 }
+
+// TestBadReplicationOverhead: an overhead the mechanism cannot build is a
+// usage error on one stderr line, not a failed simulation job.
+func TestBadReplicationOverhead(t *testing.T) {
+	for _, v := range []string{"-1", "1e6"} {
+		out, errOut, code := hybpsim(t, "-bench", "gcc", "-mech", "replication", "-replication-overhead", v)
+		if code != 2 || out != "" || !strings.Contains(errOut, "replication factor") ||
+			strings.Count(strings.TrimSpace(errOut), "\n") != 0 {
+			t.Errorf("-replication-overhead %s: exit %d, stdout %q, stderr %q; want exit 2 and one error line",
+				v, code, out, errOut)
+		}
+	}
+}

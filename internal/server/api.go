@@ -62,10 +62,10 @@ type SimRequest struct {
 	// Seed drives all randomness (default 2022).
 	Seed uint64 `json:"seed,omitempty"`
 	// ReplicationOverhead is the extra-storage factor for mech
-	// "replication" (default 1.0).
+	// "replication", at most 16 (default 1.0).
 	ReplicationOverhead float64 `json:"replication_overhead,omitempty"`
 	// KeysEntries overrides HyBP's randomized-index keys-table size
-	// (Table VI); 0 keeps the paper's 1024.
+	// (Table VI), a power of two up to 65536; 0 keeps the paper's 1024.
 	KeysEntries int `json:"keys_entries,omitempty"`
 }
 
@@ -319,9 +319,6 @@ func normalizeSim(s SimRequest) (SimRequest, error) {
 	if s.Mech == "" {
 		s.Mech = string(sim.MechHyBP)
 	}
-	if _, err := sim.ParseMechanism(s.Mech); err != nil {
-		return s, err
-	}
 	if s.Cycles == 0 {
 		s.Cycles = 6_000_000
 	}
@@ -349,7 +346,17 @@ func normalizeSim(s SimRequest) (SimRequest, error) {
 	if s.KeysEntries != 0 && s.Mech != string(sim.MechHyBP) {
 		s.KeysEntries = 0
 	}
-	return s, nil
+	return s, s.mechSpec().Validate()
+}
+
+// mechSpec is the mechanism configuration a normalized request names.
+func (s SimRequest) mechSpec() sim.MechSpec {
+	m := sim.Mech(sim.MechanismID(s.Mech))
+	if s.Mech == string(sim.MechReplication) {
+		m.ReplFactor = s.ReplicationOverhead
+	}
+	m.KeysEntries = s.KeysEntries
+	return m
 }
 
 func normalizeExperiment(e ExperimentRequest) (ExperimentRequest, error) {

@@ -22,14 +22,7 @@ func (s *Server) executeSim(req SimRequest) (any, error) {
 		DefaultInterval: req.Interval,
 		Seed:            req.Seed,
 	}
-	mech := sim.Mech(sim.MechanismID(req.Mech))
-	if req.Mech == string(sim.MechReplication) {
-		mech.ReplFactor = req.ReplicationOverhead
-	}
-	if req.KeysEntries > 0 {
-		mech.KeysEntries = req.KeysEntries
-	}
-	mr, br, err := s.sim.Versus(sc, req.Bench, req.Bench2, mech, req.Interval)
+	mr, br, err := s.sim.Versus(sc, req.Bench, req.Bench2, req.mechSpec(), req.Interval)
 	if err != nil {
 		return nil, err
 	}

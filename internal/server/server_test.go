@@ -93,6 +93,11 @@ func TestSubmitValidation(t *testing.T) {
 		{"bad bench2", `{"sim":{"bench":"gcc","bench2":"nope"}}`, "unknown benchmark"},
 		{"bad mech", `{"sim":{"bench":"gcc","mech":"turbo"}}`, "unknown mechanism"},
 		{"warmup over cycles", `{"sim":{"bench":"gcc","cycles":100,"warmup":200}}`, "warmup"},
+		{"neg replication", `{"sim":{"bench":"gcc","mech":"replication","replication_overhead":-1}}`, "replication factor"},
+		{"keys not pow2", `{"sim":{"bench":"gcc","mech":"hybp","keys_entries":1000}}`, "keys-table entries"},
+		{"neg keys", `{"sim":{"bench":"gcc","keys_entries":-1024}}`, "keys-table entries"},
+		{"huge keys", `{"sim":{"bench":"gcc","keys_entries":4611686018427387904}}`, "keys-table entries"},
+		{"huge replication", `{"sim":{"bench":"gcc","mech":"replication","replication_overhead":1e6}}`, "replication factor"},
 		{"bad experiment", `{"experiment":{"name":"fig99"}}`, "unknown experiment"},
 		{"bad scale", `{"experiment":{"name":"cost","scale":"galactic"}}`, "unknown scale"},
 		{"kind mismatch", `{"kind":"experiment","sim":{"bench":"gcc"}}`, "does not match"},

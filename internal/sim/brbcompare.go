@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"hybp/internal/harness"
-	"hybp/internal/metrics"
-	"hybp/internal/pipeline"
 	"hybp/internal/secure"
 )
 
@@ -25,27 +22,14 @@ func (r *Runner) BRBComparison(sc Scale, benches []string) BRBResult {
 	if len(benches) == 0 {
 		benches = []string{"gcc", "deepsjeng", "xz", "imagick"}
 	}
-	type trio struct {
-		base, hy, brb harness.Future[pipeline.ThreadResult]
+	declare := func(id MechanismID) paired {
+		return r.pair(sc, cell{on: singles(benches...), mech: Mech(id), iv: sc.DefaultInterval})
 	}
-	futs := make([]trio, len(benches))
-	for i, b := range benches {
-		futs[i] = trio{
-			base: r.Single(sc, b, Mech(MechBaseline), sc.DefaultInterval),
-			hy:   r.Single(sc, b, Mech(MechHyBP), sc.DefaultInterval),
-			brb:  r.Single(sc, b, Mech(MechBRB), sc.DefaultInterval),
-		}
-	}
-	var hy, brb []float64
-	for _, f := range futs {
-		base := f.base.Get()
-		hy = append(hy, degradation(base, f.hy.Get()))
-		brb = append(brb, degradation(base, f.brb.Get()))
-	}
+	hy, brb := declare(MechHyBP), declare(MechBRB)
 	brbBPU := Mech(MechBRB).Build(secure.Config{Threads: 2, Seed: sc.Seed})
 	return BRBResult{
-		HyBPLoss:       metrics.Mean(hy),
-		BRBLoss:        metrics.Mean(brb),
+		HyBPLoss:       hy.mean(loss),
+		BRBLoss:        brb.mean(loss),
 		HyBPOverheadKB: HardwareCost(sc.Seed).TotalKB,
 		BRBOverheadKB:  float64(brbBPU.StorageBits()-brbBPU.BaselineBits()) / 8 / 1024,
 	}

@@ -41,6 +41,13 @@ func ValidExperiments() []string { return append(ExperimentNames(), ExperimentSe
 // ValidExperiment reports whether name dispatches.
 func ValidExperiment(name string) bool { return slices.Contains(ValidExperiments(), name) }
 
+// SeedOnly reports whether experiment name reads only the scale's seed:
+// Table III, Section VI and the hardware cost use no cycle budget,
+// interval or workload set.
+func SeedOnly(name string) bool {
+	return name == "table3" || name == "cost" || name == ExperimentSecurity
+}
+
 // ScaleNames lists the scale presets ParseScale accepts.
 func ScaleNames() []string { return []string{"tiny", "quick", "medium", "full"} }
 

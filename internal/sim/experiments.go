@@ -5,20 +5,154 @@ import (
 	"io"
 	"sort"
 
-	"hybp/internal/harness"
 	"hybp/internal/metrics"
 	"hybp/internal/pipeline"
 	"hybp/internal/secure"
 	"hybp/internal/workload"
 )
 
-// Every experiment below follows the harness's two-phase pattern: first
-// enumerate all simulation points as jobs (Runner.Single/SMT/Solo return
-// futures immediately; duplicates — e.g. the baseline runs shared between
-// Table I, Figure 6, and the BRB comparison — coalesce onto one job), then
-// collect results in deterministic enumeration order. Callers that run
-// several experiments (cmd/hybpexp) share one Runner so common points are
-// simulated once.
+// Every Section VII experiment below is a declaration of cells plus the
+// fill of its result struct. A cell is one paired comparison: a mechanism
+// point and its unprotected-baseline point on each of a list of workloads
+// (single-thread benchmarks, solo benchmarks or SMT-2 mixes), at one
+// switch interval, for n seeds. Both points of a pair replay the same
+// wlSeed streams, so the pair's difference is the mechanism's alone.
+// Declaring a cell (Runner.pair) submits all its points at once, and
+// experiments declare every cell before they reduce any, so the whole
+// experiment runs in parallel on the pool; points shared between cells or
+// experiments (the baselines above all) coalesce onto one job. The
+// reducers block on the results: each maps a per-workload metric over the
+// first seed's workloads, and stats summarizes its per-seed means. Callers
+// that run several experiments (cmd/hybpexp) share one Runner so common
+// points are simulated once.
+
+// A cell declares one paired comparison: mech, with extraFE extra
+// front-end cycles, against the baseline on every workload of on, at
+// switch interval iv, for seeds seeds (0 counts as 1).
+type cell struct {
+	on      []PointSpec // each names a Kind and its Bench, or A and B
+	mech    MechSpec
+	iv      uint64
+	extraFE int // the mechanism point's only (Figure 2)
+	seeds   int
+}
+
+// singles, solos and smts name a cell's workloads: benchmarks
+// time-sharing a core with a partner process, benchmarks alone, and
+// SMT-2 mixes.
+func singles(benches ...string) []PointSpec { return named(PointSingle, benches) }
+func solos(benches ...string) []PointSpec   { return named(PointSolo, benches) }
+
+func named(kind string, benches []string) []PointSpec {
+	ws := make([]PointSpec, len(benches))
+	for i, b := range benches {
+		ws[i] = PointSpec{Kind: kind, Bench: b}
+	}
+	return ws
+}
+
+func smts(mixes []workload.Mix) []PointSpec {
+	ws := make([]PointSpec, len(mixes))
+	for i, m := range mixes {
+		ws[i] = PointSpec{Kind: PointSMT, A: m.A, B: m.B}
+	}
+	return ws
+}
+
+// threads lists the mixes' benchmarks in thread order, two per mix.
+func threads(mixes []workload.Mix) []string {
+	bs := make([]string, 0, 2*len(mixes))
+	for _, m := range mixes {
+		bs = append(bs, m.A, m.B)
+	}
+	return bs
+}
+
+// paired is a declared cell: its points, [seed][workload].
+type paired struct {
+	mech, base [][]point
+}
+
+// point waits for a submitted job and views it as a pipeline.Result.
+type point func() (pipeline.Result, error)
+
+// pair declares c: it submits the mechanism and baseline point of every
+// workload and seed, seed i at root sc.Seed + i*7919. A mechanism point
+// identical to its baseline (a baseline-only cell) is submitted once.
+func (r *Runner) pair(sc Scale, c cell) paired {
+	n := max(c.seeds, 1)
+	p := paired{mech: make([][]point, n), base: make([][]point, n)}
+	for i := range n {
+		s := sc
+		s.Seed = sc.Seed + uint64(i)*7919
+		for _, w := range c.on {
+			bs, ms := s.point(w, Mech(MechBaseline), c.iv, 0), s.point(w, c.mech, c.iv, c.extraFE)
+			b := r.submit(bs)
+			m := b
+			if ms != bs {
+				m = r.submit(ms)
+			}
+			p.base[i] = append(p.base[i], b)
+			p.mech[i] = append(p.mech[i], m)
+		}
+	}
+	return p
+}
+
+// A metric compares workload w's mechanism result with its baseline's.
+type metric func(w int, mech, base pipeline.Result) float64
+
+// loss is the mechanism's throughput degradation in percent: a single
+// thread's IPC loss, or an SMT mix's summed-IPC loss.
+func loss(_ int, mech, base pipeline.Result) float64 {
+	return metrics.DegradationPercent(base.ThroughputIPC(), mech.ThroughputIPC())
+}
+
+// normIPC is the mechanism's IPC normalized to the baseline's.
+func normIPC(_ int, mech, base pipeline.Result) float64 {
+	if b := base.ThroughputIPC(); b > 0 {
+		return mech.ThroughputIPC() / b
+	}
+	return 0
+}
+
+func mechIPC(_ int, mech, _ pipeline.Result) float64 { return mech.ThroughputIPC() }
+func baseIPC(_ int, _, base pipeline.Result) float64 { return base.ThroughputIPC() }
+
+// ipcs lists a result's per-thread IPCs.
+func ipcs(r pipeline.Result) []float64 {
+	xs := make([]float64, len(r.Threads))
+	for i, t := range r.Threads {
+		xs[i] = t.IPC()
+	}
+	return xs
+}
+
+// each is m on every workload of the first seed.
+func (p paired) each(m metric) []float64 { return p.at(0, m) }
+
+func (p paired) at(seed int, m metric) []float64 {
+	xs := make([]float64, len(p.base[seed]))
+	for w := range xs {
+		mech, _ := p.mech[seed][w]()
+		base, _ := p.base[seed][w]()
+		xs[w] = m(w, mech, base)
+	}
+	return xs
+}
+
+// stats summarizes m's per-seed mean over the workloads across seeds.
+func (p paired) stats(m metric) SeedStats {
+	xs := make([]float64, len(p.base))
+	for i := range xs {
+		xs[i] = metrics.Mean(p.at(i, m))
+	}
+	return Summarize(xs)
+}
+
+// mean is m's mean over the workloads, the mean of the seeds' means when
+// the cell has several.
+func (p paired) mean(m metric) float64 { return p.stats(m).Mean }
 
 // ---------------------------------------------------------------------------
 // Table I — comparison of security mechanisms.
@@ -51,66 +185,23 @@ func (r *Runner) Table1(sc Scale, benches []string, mixes []workload.Mix) Table1
 		mixes = workload.Mixes()[:4]
 	}
 
-	// Phase 1: enumerate every point. Single-thread Flush pairs (HyBP's
-	// single-thread number is reported by Figure 6; Table I's HyBP row uses
-	// the SMT mixes like Partition/Replication), the SMT baseline and
-	// mechanism runs per mix, and the solo runs behind Disable-SMT.
-	type pair struct {
-		base, mech harness.Future[pipeline.ThreadResult]
+	// HyBP's single-thread number is reported by Figure 6; Table I's HyBP
+	// row uses the SMT mixes like Partition/Replication.
+	flush := r.pair(sc, cell{on: singles(benches...), mech: Mech(MechFlush), iv: sc.DefaultInterval})
+	smt := func(id MechanismID) paired {
+		return r.pair(sc, cell{on: smts(mixes), mech: Mech(id), iv: sc.DefaultInterval})
 	}
-	flush := make([]pair, len(benches))
-	for i, b := range benches {
-		flush[i] = pair{
-			base: r.Single(sc, b, Mech(MechBaseline), sc.DefaultInterval),
-			mech: r.Single(sc, b, Mech(MechFlush), sc.DefaultInterval),
-		}
-	}
-	smtBase := make([]harness.Future[pipeline.Result], len(mixes))
-	soloA := make([]harness.Future[pipeline.ThreadResult], len(mixes))
-	soloB := make([]harness.Future[pipeline.ThreadResult], len(mixes))
-	for i, m := range mixes {
-		smtBase[i] = r.SMT(sc, m, Mech(MechBaseline), sc.DefaultInterval)
-		soloA[i] = r.Solo(sc, m.A, Mech(MechBaseline))
-		soloB[i] = r.Solo(sc, m.B, Mech(MechBaseline))
-	}
-	mechIDs := []MechanismID{MechPartition, MechReplication, MechHyBP}
-	smtMech := make(map[MechanismID][]harness.Future[pipeline.Result], len(mechIDs))
-	for _, id := range mechIDs {
-		fs := make([]harness.Future[pipeline.Result], len(mixes))
-		for i, m := range mixes {
-			fs[i] = r.SMT(sc, m, Mech(id), sc.DefaultInterval)
-		}
-		smtMech[id] = fs
-	}
-
-	// Phase 2: collect.
-	flushLosses := make([]float64, 0, len(benches))
-	for i := range benches {
-		flushLosses = append(flushLosses, degradation(flush[i].base.Get(), flush[i].mech.Get()))
-	}
-
-	smtLoss := func(id MechanismID) float64 {
-		losses := make([]float64, 0, len(mixes))
-		for i := range mixes {
-			losses = append(losses, metrics.DegradationPercent(
-				smtBase[i].Get().ThroughputIPC(), smtMech[id][i].Get().ThroughputIPC()))
-		}
-		return metrics.Mean(losses)
-	}
-	partLoss := smtLoss(MechPartition)
-	replLoss := smtLoss(MechReplication)
-	hybpLoss := smtLoss(MechHyBP)
+	part, repl, hybp := smt(MechPartition), smt(MechReplication), smt(MechHyBP)
+	solo := r.pair(sc, cell{on: solos(threads(mixes)...), mech: Mech(MechBaseline)})
 
 	// Disable SMT: the mixes' two benchmarks time-shared on one hardware
 	// thread vs SMT-2 baseline throughput. Serial execution's combined
 	// throughput is total work over summed time — the harmonic combination
 	// of the two solo IPCs.
-	disableLosses := make([]float64, 0, len(mixes))
-	for i := range mixes {
-		smt := smtBase[i].Get()
-		a, b := soloA[i].Get(), soloB[i].Get()
-		serial := 2 * a.IPC() * b.IPC() / (a.IPC() + b.IPC())
-		disableLosses = append(disableLosses, metrics.DegradationPercent(smt.ThroughputIPC(), serial))
+	soloIPC := solo.each(baseIPC)
+	disable := func(w int, _, base pipeline.Result) float64 {
+		a, b := soloIPC[2*w], soloIPC[2*w+1]
+		return metrics.DegradationPercent(base.ThroughputIPC(), 2*a*b/(a+b))
 	}
 
 	hw := func(id MechanismID) float64 {
@@ -118,11 +209,11 @@ func (r *Runner) Table1(sc Scale, benches []string, mixes []workload.Mix) Table1
 	}
 
 	return Table1Result{Rows: []Table1Row{
-		{Mechanism: "Flush", PerfOverhead: metrics.Mean(flushLosses), HardwareCost: 0, SingleSecure: "yes", SMTSecure: "no"},
-		{Mechanism: "Partition", PerfOverhead: partLoss, HardwareCost: hw(MechPartition), SingleSecure: "yes", SMTSecure: "yes"},
-		{Mechanism: "Replication", PerfOverhead: replLoss, HardwareCost: hw(MechReplication), SingleSecure: "yes", SMTSecure: "yes"},
-		{Mechanism: "Disable SMT", PerfOverhead: metrics.Mean(disableLosses), HardwareCost: 0, SingleSecure: "-", SMTSecure: "yes"},
-		{Mechanism: "HyBP", PerfOverhead: hybpLoss, HardwareCost: HardwareCost(sc.Seed).OverheadPercent, SingleSecure: "yes", SMTSecure: "yes"},
+		{Mechanism: "Flush", PerfOverhead: flush.mean(loss), HardwareCost: 0, SingleSecure: "yes", SMTSecure: "no"},
+		{Mechanism: "Partition", PerfOverhead: part.mean(loss), HardwareCost: hw(MechPartition), SingleSecure: "yes", SMTSecure: "yes"},
+		{Mechanism: "Replication", PerfOverhead: repl.mean(loss), HardwareCost: hw(MechReplication), SingleSecure: "yes", SMTSecure: "yes"},
+		{Mechanism: "Disable SMT", PerfOverhead: part.mean(disable), HardwareCost: 0, SingleSecure: "-", SMTSecure: "yes"},
+		{Mechanism: "HyBP", PerfOverhead: hybp.mean(loss), HardwareCost: HardwareCost(sc.Seed).OverheadPercent, SingleSecure: "yes", SMTSecure: "yes"},
 	}}
 }
 
@@ -159,31 +250,22 @@ func (r *Runner) Fig2(sc Scale, benches []string) Fig2Result {
 		benches = workload.FigureApps()
 	}
 	extras := []int{2, 4, 8}
-
-	baseF := make([]harness.Future[pipeline.ThreadResult], len(benches))
-	exF := make([]map[int]harness.Future[pipeline.ThreadResult], len(benches))
-	for i, b := range benches {
-		baseF[i] = r.SingleFE(sc, b, Mech(MechBaseline), 0, 0)
-		exF[i] = make(map[int]harness.Future[pipeline.ThreadResult], len(extras))
-		for _, ex := range extras {
-			exF[i][ex] = r.SingleFE(sc, b, Mech(MechBaseline), 0, ex)
-		}
+	cells := make([]paired, len(extras))
+	for i, ex := range extras {
+		cells[i] = r.pair(sc, cell{on: singles(benches...), mech: Mech(MechBaseline), extraFE: ex})
 	}
 
 	res := Fig2Result{Extras: extras, Avg: map[int]float64{}}
-	sums := map[int]float64{}
+	acc := cells[0].each(func(_ int, _, base pipeline.Result) float64 { return base.Threads[0].Accuracy() })
 	for i, b := range benches {
-		base := baseF[i].Get()
-		row := Fig2Row{Bench: b, Accuracy: base.Accuracy(), Loss: map[int]float64{}}
-		for _, ex := range extras {
-			loss := degradation(base, exF[i][ex].Get())
-			row.Loss[ex] = loss
-			sums[ex] += loss
-		}
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, Fig2Row{Bench: b, Accuracy: acc[i], Loss: map[int]float64{}})
 	}
-	for _, ex := range extras {
-		res.Avg[ex] = sums[ex] / float64(len(benches))
+	for i, ex := range extras {
+		ls := cells[i].each(loss)
+		for j := range res.Rows {
+			res.Rows[j].Loss[ex] = ls[j]
+		}
+		res.Avg[ex] = metrics.Mean(ls)
 	}
 	return res
 }
@@ -233,39 +315,21 @@ func (r *Runner) Fig5(sc Scale, benches []string) Fig5Result {
 	if len(benches) == 0 {
 		benches = workload.FigureApps()
 	}
-
-	type pair struct {
-		base, hy harness.Future[pipeline.ThreadResult]
-	}
-	futs := make(map[string]map[uint64]pair, len(benches))
-	for _, b := range benches {
-		futs[b] = make(map[uint64]pair, len(sc.Intervals))
-		for _, iv := range sc.Intervals {
-			futs[b][iv] = pair{
-				base: r.Single(sc, b, Mech(MechBaseline), iv),
-				hy:   r.Single(sc, b, Mech(MechHyBP), iv),
-			}
-		}
+	cells := make([]paired, len(sc.Intervals))
+	for i, iv := range sc.Intervals {
+		cells[i] = r.pair(sc, cell{on: singles(benches...), mech: Mech(MechHyBP), iv: iv})
 	}
 
 	res := Fig5Result{Intervals: sc.Intervals, Avg: map[uint64]float64{}}
-	sums := map[uint64]float64{}
 	for _, b := range benches {
-		row := Fig5Row{Bench: b, NormalizedIPC: map[uint64]float64{}}
-		for _, iv := range sc.Intervals {
-			p := futs[b][iv]
-			base, hy := p.base.Get(), p.hy.Get()
-			n := 0.0
-			if base.IPC() > 0 {
-				n = hy.IPC() / base.IPC()
-			}
-			row.NormalizedIPC[iv] = n
-			sums[iv] += n
-		}
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, Fig5Row{Bench: b, NormalizedIPC: map[uint64]float64{}})
 	}
-	for _, iv := range sc.Intervals {
-		res.Avg[iv] = sums[iv] / float64(len(benches))
+	for i, iv := range sc.Intervals {
+		ns := cells[i].each(normIPC)
+		for j := range res.Rows {
+			res.Rows[j].NormalizedIPC[iv] = ns[j]
+		}
+		res.Avg[iv] = metrics.Mean(ns)
 	}
 	return res
 }
@@ -333,38 +397,22 @@ func (r *Runner) Fig6(sc Scale, benches []string) Fig6Result {
 	flushCtx := Mech(MechFlush)
 	flushCtx.FlushCtxOnly = true
 	mechs := []MechSpec{Mech(MechHyBP), Mech(MechFlush), flushCtx, Mech(MechPartition)}
-
-	type cell struct {
-		base harness.Future[pipeline.ThreadResult]
-		mech [4]harness.Future[pipeline.ThreadResult]
-	}
-	cells := make(map[uint64][]cell, len(sc.Intervals))
-	for _, iv := range sc.Intervals {
-		cs := make([]cell, len(benches))
-		for i, b := range benches {
-			cs[i].base = r.Single(sc, b, Mech(MechBaseline), iv)
-			for j, m := range mechs {
-				cs[i].mech[j] = r.Single(sc, b, m, iv)
-			}
+	cells := make([][]paired, len(sc.Intervals))
+	for i, iv := range sc.Intervals {
+		for _, m := range mechs {
+			cells[i] = append(cells[i], r.pair(sc, cell{on: singles(benches...), mech: m, iv: iv}))
 		}
-		cells[iv] = cs
 	}
 
 	var res Fig6Result
-	for _, iv := range sc.Intervals {
-		var sums [4][]float64
-		for _, c := range cells[iv] {
-			base := c.base.Get()
-			for j := range mechs {
-				sums[j] = append(sums[j], degradation(base, c.mech[j].Get()))
-			}
-		}
+	for i, iv := range sc.Intervals {
+		c := cells[i]
 		res.Points = append(res.Points, Fig6Point{
 			Interval:     iv,
-			HyBP:         metrics.Mean(sums[0]),
-			Flush:        metrics.Mean(sums[1]),
-			FlushCtxPart: metrics.Mean(sums[2]),
-			Partition:    metrics.Mean(sums[3]),
+			HyBP:         c[0].mean(loss),
+			Flush:        c[1].mean(loss),
+			FlushCtxPart: c[2].mean(loss),
+			Partition:    c[3].mean(loss),
 		})
 	}
 	return res
@@ -408,53 +456,28 @@ func (r *Runner) Fig7(sc Scale, mixes []workload.Mix) Fig7Result {
 		mixes = workload.Mixes()
 	}
 	mechs := []MechanismID{MechPartition, MechReplication, MechHyBP}
+	solo := r.pair(sc, cell{on: solos(threads(mixes)...), mech: Mech(MechBaseline)})
+	cells := make([]paired, len(mechs))
+	for i, id := range mechs {
+		cells[i] = r.pair(sc, cell{on: smts(mixes), mech: Mech(id), iv: sc.DefaultInterval})
+	}
+
+	soloIPC := solo.each(baseIPC)
+	hmeanLoss := func(w int, mech, base pipeline.Result) float64 {
+		s := soloIPC[2*w : 2*w+2]
+		return metrics.DegradationPercent(metrics.Hmean(s, ipcs(base)), metrics.Hmean(s, ipcs(mech)))
+	}
 	res := Fig7Result{Mechs: mechs, AvgT: map[MechanismID]float64{}, AvgH: map[MechanismID]float64{}}
-
-	// Solo runs repeat across mixes; the harness dedupes them to one job.
-	soloF := make(map[string]harness.Future[pipeline.ThreadResult])
 	for _, m := range mixes {
-		for _, b := range []string{m.A, m.B} {
-			soloF[b] = r.Solo(sc, b, Mech(MechBaseline))
-		}
+		res.Rows = append(res.Rows, Fig7Row{Mix: m.Name, ThroughputLoss: map[MechanismID]float64{}, HmeanLoss: map[MechanismID]float64{}})
 	}
-	baseF := make([]harness.Future[pipeline.Result], len(mixes))
-	mechF := make([]map[MechanismID]harness.Future[pipeline.Result], len(mixes))
-	for i, m := range mixes {
-		baseF[i] = r.SMT(sc, m, Mech(MechBaseline), sc.DefaultInterval)
-		mechF[i] = make(map[MechanismID]harness.Future[pipeline.Result], len(mechs))
-		for _, id := range mechs {
-			mechF[i][id] = r.SMT(sc, m, Mech(id), sc.DefaultInterval)
+	for i, id := range mechs {
+		ts, hs := cells[i].each(loss), cells[i].each(hmeanLoss)
+		for j := range res.Rows {
+			res.Rows[j].ThroughputLoss[id] = ts[j]
+			res.Rows[j].HmeanLoss[id] = hs[j]
 		}
-	}
-
-	solo := func(bench string) float64 { return soloF[bench].Get().IPC() }
-	sumsT := map[MechanismID]float64{}
-	sumsH := map[MechanismID]float64{}
-	for i, m := range mixes {
-		base := baseF[i].Get()
-		baseHmean := metrics.Hmean(
-			[]float64{solo(m.A), solo(m.B)},
-			[]float64{base.Threads[0].IPC(), base.Threads[1].IPC()},
-		)
-		row := Fig7Row{Mix: m.Name, ThroughputLoss: map[MechanismID]float64{}, HmeanLoss: map[MechanismID]float64{}}
-		for _, id := range mechs {
-			mr := mechF[i][id].Get()
-			tl := metrics.DegradationPercent(base.ThroughputIPC(), mr.ThroughputIPC())
-			h := metrics.Hmean(
-				[]float64{solo(m.A), solo(m.B)},
-				[]float64{mr.Threads[0].IPC(), mr.Threads[1].IPC()},
-			)
-			hl := metrics.DegradationPercent(baseHmean, h)
-			row.ThroughputLoss[id] = tl
-			row.HmeanLoss[id] = hl
-			sumsT[id] += tl
-			sumsH[id] += hl
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	for _, id := range mechs {
-		res.AvgT[id] = sumsT[id] / float64(len(mixes))
-		res.AvgH[id] = sumsH[id] / float64(len(mixes))
+		res.AvgT[id], res.AvgH[id] = metrics.Mean(ts), metrics.Mean(hs)
 	}
 	return res
 }
@@ -524,40 +547,22 @@ func (r *Runner) Fig8(sc Scale, mixes []workload.Mix, overheads []float64) Fig8R
 	if len(overheads) == 0 {
 		overheads = []float64{0, 0.5, 1.0, 1.5, 2.0, 2.4, 3.0}
 	}
-
-	baseF := make([]harness.Future[pipeline.Result], len(mixes))
-	for i, m := range mixes {
-		baseF[i] = r.SMT(sc, m, Mech(MechBaseline), sc.DefaultInterval)
+	declare := func(m MechSpec) paired {
+		return r.pair(sc, cell{on: smts(mixes), mech: m, iv: sc.DefaultInterval})
 	}
-	submitSweep := func(spec MechSpec) []harness.Future[pipeline.Result] {
-		fs := make([]harness.Future[pipeline.Result], len(mixes))
-		for i, m := range mixes {
-			fs[i] = r.SMT(sc, m, spec, sc.DefaultInterval)
-		}
-		return fs
-	}
-	replF := make([][]harness.Future[pipeline.Result], len(overheads))
+	repl := make([]paired, len(overheads))
 	for i, ov := range overheads {
 		spec := Mech(MechReplication)
 		spec.ReplFactor = ov
-		replF[i] = submitSweep(spec)
+		repl[i] = declare(spec)
 	}
-	hybpF := submitSweep(Mech(MechHyBP))
-
-	avgLoss := func(fs []harness.Future[pipeline.Result]) float64 {
-		var ls []float64
-		for i := range mixes {
-			ls = append(ls, metrics.DegradationPercent(
-				baseF[i].Get().ThroughputIPC(), fs[i].Get().ThroughputIPC()))
-		}
-		return metrics.Mean(ls)
-	}
+	hybp := declare(Mech(MechHyBP))
 
 	var res Fig8Result
 	for i, ov := range overheads {
-		res.Points = append(res.Points, Fig8Point{OverheadPercent: 100 * ov, PerfLoss: avgLoss(replF[i])})
+		res.Points = append(res.Points, Fig8Point{OverheadPercent: 100 * ov, PerfLoss: repl[i].mean(loss)})
 	}
-	res.HyBPLoss = avgLoss(hybpF)
+	res.HyBPLoss = hybp.mean(loss)
 	res.HyBPCost = HardwareCost(sc.Seed).OverheadPercent
 
 	res.Crossover = -1
@@ -607,36 +612,20 @@ func (r *Runner) Table6(sc Scale, benches []string, sizes []int) Table6Result {
 		sizes = []int{1024, 2048, 4096, 16384, 32768}
 	}
 	intervals := []uint64{sc.DefaultInterval / 4, sc.DefaultInterval}
-
-	type pair struct {
-		base, hy harness.Future[pipeline.ThreadResult]
-	}
-	futs := make(map[uint64]map[int][]pair, len(intervals))
+	cells := make(map[uint64][]paired, len(intervals))
 	for _, iv := range intervals {
-		futs[iv] = make(map[int][]pair, len(sizes))
 		for _, size := range sizes {
 			spec := Mech(MechHyBP)
 			spec.KeysEntries = size
-			ps := make([]pair, len(benches))
-			for i, b := range benches {
-				ps[i] = pair{
-					base: r.Single(sc, b, Mech(MechBaseline), iv),
-					hy:   r.Single(sc, b, spec, iv),
-				}
-			}
-			futs[iv][size] = ps
+			cells[iv] = append(cells[iv], r.pair(sc, cell{on: singles(benches...), mech: spec, iv: iv}))
 		}
 	}
 
 	res := Table6Result{Intervals: intervals, Sizes: sizes, Loss: map[uint64]map[int]float64{}}
 	for _, iv := range intervals {
 		res.Loss[iv] = map[int]float64{}
-		for _, size := range sizes {
-			var ls []float64
-			for _, p := range futs[iv][size] {
-				ls = append(ls, degradation(p.base.Get(), p.hy.Get()))
-			}
-			res.Loss[iv][size] = metrics.Mean(ls)
+		for i, size := range sizes {
+			res.Loss[iv][size] = cells[iv][i].mean(loss)
 		}
 	}
 	return res
@@ -684,20 +673,8 @@ func (r *Runner) Tournament(sc Scale, benches []string) TournamentResult {
 	}
 	tourn := Mech(MechBaseline)
 	tourn.Tournament = true
-
-	tageF := make([]harness.Future[pipeline.ThreadResult], len(benches))
-	tournF := make([]harness.Future[pipeline.ThreadResult], len(benches))
-	for i, b := range benches {
-		tageF[i] = r.Solo(sc, b, Mech(MechBaseline))
-		tournF[i] = r.Solo(sc, b, tourn)
-	}
-
-	var tageIPCs, tournIPCs []float64
-	for i := range benches {
-		tageIPCs = append(tageIPCs, tageF[i].Get().IPC())
-		tournIPCs = append(tournIPCs, tournF[i].Get().IPC())
-	}
-	tg, tn := metrics.GeoMean(tageIPCs), metrics.GeoMean(tournIPCs)
+	c := r.pair(sc, cell{on: solos(benches...), mech: tourn})
+	tg, tn := metrics.GeoMean(c.each(baseIPC)), metrics.GeoMean(c.each(mechIPC))
 	return TournamentResult{
 		TageIPC:       tg,
 		TournamentIPC: tn,

@@ -5,9 +5,7 @@ import (
 	"io"
 	"math"
 
-	"hybp/internal/harness"
 	"hybp/internal/metrics"
-	"hybp/internal/pipeline"
 )
 
 // SeedStats summarizes a metric measured across independent seeds: the
@@ -64,23 +62,11 @@ func Summarize(xs []float64) SeedStats {
 // is distinct, so its points are distinct jobs; the n seeds all run in
 // parallel on the pool.
 func (r *Runner) MultiSeedDegradation(sc Scale, bench string, id MechanismID, n int) SeedStats {
-	type pair struct {
-		base, mech harness.Future[pipeline.ThreadResult]
-	}
-	futs := make([]pair, n)
-	for i := 0; i < n; i++ {
-		s := sc
-		s.Seed = sc.Seed + uint64(i)*7919
-		futs[i] = pair{
-			base: r.Single(s, bench, Mech(MechBaseline), s.DefaultInterval),
-			mech: r.Single(s, bench, Mech(id), s.DefaultInterval),
-		}
-	}
-	var xs []float64
-	for _, p := range futs {
-		xs = append(xs, degradation(p.base.Get(), p.mech.Get()))
-	}
-	return Summarize(xs)
+	return r.multiSeed(sc, bench, id, n).stats(loss)
+}
+
+func (r *Runner) multiSeed(sc Scale, bench string, id MechanismID, n int) paired {
+	return r.pair(sc, cell{on: singles(bench), mech: Mech(id), iv: sc.DefaultInterval, seeds: n})
 }
 
 // MultiSeedResult is the per-mechanism seed sweep on one benchmark — the
@@ -103,8 +89,12 @@ func (r *Runner) MultiSeed(sc Scale, bench string, n int) MultiSeedResult {
 		Mechs:    []MechanismID{MechFlush, MechPartition, MechBRB, MechHyBP},
 		Stats:    map[MechanismID]SeedStats{},
 	}
-	for _, id := range res.Mechs {
-		res.Stats[id] = r.MultiSeedDegradation(sc, bench, id, n)
+	cells := make([]paired, len(res.Mechs))
+	for i, id := range res.Mechs {
+		cells[i] = r.multiSeed(sc, bench, id, n)
+	}
+	for i, id := range res.Mechs {
+		res.Stats[id] = cells[i].stats(loss)
 	}
 	return res
 }

@@ -64,6 +64,33 @@ func Mech(id MechanismID) MechSpec {
 	return m
 }
 
+// The largest variants Validate admits. Build's memory grows with both
+// (about 0.4 MB per unit of replication factor, 9.5 MB at 64K keys
+// entries), so they bound what one job from outside can allocate; the
+// paper's sweeps stop at 3.0 (Figure 8) and 32K entries (Table VI).
+const (
+	maxReplFactor  = 16
+	maxKeysEntries = 1 << 16
+)
+
+// Validate rejects a spec Build would panic on or could not allocate: an
+// unknown mechanism (a tournament baseline ignores ID), a replication
+// factor outside [0, maxReplFactor], or a keys-table size that is neither
+// 0 nor a power of two up to maxKeysEntries. Every front end that takes a
+// spec from outside the process checks it first.
+func (m MechSpec) Validate() error {
+	if _, err := ParseMechanism(string(m.ID)); err != nil && !m.Tournament {
+		return err
+	}
+	if !(m.ReplFactor >= 0 && m.ReplFactor <= maxReplFactor) {
+		return fmt.Errorf("replication factor %g, want 0 to %d", m.ReplFactor, maxReplFactor)
+	}
+	if k := m.KeysEntries; k < 0 || k > maxKeysEntries || k&(k-1) != 0 {
+		return fmt.Errorf("keys-table entries %d, want 0 or a power of two up to %d", k, maxKeysEntries)
+	}
+	return nil
+}
+
 // tag renders the spec into the human-readable part of job keys.
 func (m MechSpec) tag() string {
 	t := string(m.ID)
@@ -221,7 +248,7 @@ func (sp PointSpec) validate() error {
 		return specErrorf("unknown point kind %q (valid: %s, %s, %s, %s)",
 			sp.Kind, PointSingle, PointSMT, PointSolo, PointPoC)
 	}
-	if _, err := ParseMechanism(string(sp.Mech.ID)); err != nil && !sp.Mech.Tournament {
+	if err := sp.Mech.Validate(); err != nil {
 		return specErrorf("%v", err)
 	}
 	if sp.Cycles == 0 || sp.Warmup >= sp.Cycles {
@@ -248,38 +275,31 @@ func wlSeed(root uint64, bench string) uint64 {
 	return root ^ h
 }
 
+// point is workload w (its Kind and benchmarks) on m at sc's budget and
+// root seed.
+func (sc Scale) point(w PointSpec, m MechSpec, interval uint64, extraFE int) PointSpec {
+	w.Mech, w.Interval, w.ExtraFE = m, interval, extraFE
+	w.Cycles, w.Warmup, w.RootSeed = sc.MaxCycles, sc.WarmupCycles, sc.Seed
+	return w
+}
+
+// submit schedules sp. A single or solo job's payload stays its one
+// ThreadResult; the point returns it as a one-thread Result.
+func (r *Runner) submit(sp PointSpec) point {
+	if sp.Kind == PointSMT {
+		return harness.SubmitSpec(r.h, sp.key(), sp.canon(), sp.run).Result
+	}
+	f := harness.SubmitSpec(r.h, sp.key(), sp.canon(), sp.runThread)
+	return func() (pipeline.Result, error) {
+		tr, err := f.Result()
+		return pipeline.Result{Threads: []pipeline.ThreadResult{tr}}, err
+	}
+}
+
 // Single schedules a single-thread context-switching measurement of bench
 // on the given mechanism at the given switch interval.
 func (r *Runner) Single(sc Scale, bench string, m MechSpec, interval uint64) harness.Future[pipeline.ThreadResult] {
-	return r.SingleFE(sc, bench, m, interval, 0)
-}
-
-// SingleFE is Single with extra front-end pipeline cycles (Figure 2).
-func (r *Runner) SingleFE(sc Scale, bench string, m MechSpec, interval uint64, extraFE int) harness.Future[pipeline.ThreadResult] {
-	spec := PointSpec{
-		Kind: PointSingle, Bench: bench, Mech: m, Interval: interval,
-		ExtraFE: extraFE, Cycles: sc.MaxCycles, Warmup: sc.WarmupCycles, RootSeed: sc.Seed,
-	}
-	return harness.SubmitSpec(r.h, spec.key(), spec.canon(), spec.runThread)
-}
-
-// SMT schedules an SMT-2 measurement of a Table V mix on the given
-// mechanism, both threads measured, context switching on both.
-func (r *Runner) SMT(sc Scale, mix workload.Mix, m MechSpec, interval uint64) harness.Future[pipeline.Result] {
-	spec := PointSpec{
-		Kind: PointSMT, A: mix.A, B: mix.B, Mech: m, Interval: interval,
-		Cycles: sc.MaxCycles, Warmup: sc.WarmupCycles, RootSeed: sc.Seed,
-	}
-	return harness.SubmitSpec(r.h, spec.key(), spec.canon(), spec.run)
-}
-
-// Solo schedules a lone, switch-free measurement of bench on the given
-// mechanism — the Hmean denominator and the tournament yardstick.
-func (r *Runner) Solo(sc Scale, bench string, m MechSpec) harness.Future[pipeline.ThreadResult] {
-	spec := PointSpec{
-		Kind: PointSolo, Bench: bench, Mech: m,
-		Cycles: sc.MaxCycles, Warmup: sc.WarmupCycles, RootSeed: sc.Seed,
-	}
+	spec := sc.point(PointSpec{Kind: PointSingle, Bench: bench}, m, interval, 0)
 	return harness.SubmitSpec(r.h, spec.key(), spec.canon(), spec.runThread)
 }
 
@@ -290,20 +310,15 @@ func (r *Runner) Solo(sc Scale, bench string, m MechSpec) harness.Future[pipelin
 // other interval runs it as a context-switching single thread, returned
 // as a one-thread Result. err joins the two jobs' terminal errors.
 func (r *Runner) Versus(sc Scale, bench, bench2 string, m MechSpec, interval uint64) (mech, base pipeline.Result, err error) {
-	baseM := Mech(MechBaseline)
-	if bench2 != "" {
-		mix := workload.Mix{Name: bench + "+" + bench2, A: bench, B: bench2}
-		mf, bf := r.SMT(sc, mix, m, interval), r.SMT(sc, mix, baseM, interval)
-		return mf.Get(), bf.Get(), errors.Join(mf.Err(), bf.Err())
+	w := PointSpec{Kind: PointSingle, Bench: bench}
+	switch {
+	case bench2 != "":
+		w = PointSpec{Kind: PointSMT, A: bench, B: bench2}
+	case interval == 0:
+		w.Kind = PointSolo
 	}
-	var mf, bf harness.Future[pipeline.ThreadResult]
-	if interval == 0 {
-		mf, bf = r.Solo(sc, bench, m), r.Solo(sc, bench, baseM)
-	} else {
-		mf, bf = r.Single(sc, bench, m, interval), r.Single(sc, bench, baseM, interval)
-	}
-	one := func(tr pipeline.ThreadResult) pipeline.Result {
-		return pipeline.Result{Threads: []pipeline.ThreadResult{tr}}
-	}
-	return one(mf.Get()), one(bf.Get()), errors.Join(mf.Err(), bf.Err())
+	p := r.pair(sc, cell{on: []PointSpec{w}, mech: m, iv: interval})
+	mech, merr := p.mech[0][0]()
+	base, berr := p.base[0][0]()
+	return mech, base, errors.Join(merr, berr)
 }

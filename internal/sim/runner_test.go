@@ -258,6 +258,44 @@ func TestGoldenDigestSecurity(t *testing.T) {
 	}
 }
 
+// goldenDigestExperiments pins every dispatchable experiment but Table III
+// (pinned by goldenDigestTable3) bit-for-bit: the FNV-1a digest of each
+// result's JSON, in ExperimentNames order, run through Runner.Experiment
+// at Tiny scale on the first two figure apps and the first two mixes.
+// Update it like goldenDigest: rerun with -run TestGoldenDigestExperiments
+// -v and copy the value.
+const goldenDigestExperiments = 0x1df0d22e499b895c
+
+func TestGoldenDigestExperiments(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation experiment")
+	}
+	r := newTestRunner(t, harness.Options{Workers: 2})
+	defer r.Close()
+	benches, mixes := workload.FigureApps()[:2], workload.Mixes()[:2]
+	h := fnv.New64a()
+	for _, name := range ExperimentNames() {
+		if name == "table3" {
+			continue
+		}
+		res, err := r.Experiment(name, Tiny(), benches, mixes)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write([]byte(name))
+		h.Write(out)
+		h.Write([]byte{0})
+	}
+	if got := h.Sum64(); got != goldenDigestExperiments {
+		t.Errorf("experiments golden digest = %#x, want %#x (experiment output changed bit-for-bit)",
+			got, uint64(goldenDigestExperiments))
+	}
+}
+
 // TestMechSpecKeys pins the variant knobs into distinct cache identities.
 func TestMechSpecKeys(t *testing.T) {
 	plain := Mech(MechFlush)

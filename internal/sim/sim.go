@@ -4,11 +4,7 @@
 // benchmarks print. DESIGN.md §3 maps every experiment to its function.
 package sim
 
-import (
-	"hybp/internal/metrics"
-	"hybp/internal/pipeline"
-	"hybp/internal/workload"
-)
+import "hybp/internal/workload"
 
 // Scale sets simulation fidelity. The paper warms 1B and measures 1B
 // instructions per point on Gem5; our scales trade wall-clock for
@@ -93,9 +89,4 @@ func partnerOf(bench string) workload.Profile {
 		return workload.Get("perlbench")
 	}
 	return workload.Get("gcc")
-}
-
-// degradation computes the percentage IPC loss of mech vs base.
-func degradation(base, mech pipeline.ThreadResult) float64 {
-	return metrics.DegradationPercent(base.IPC(), mech.IPC())
 }

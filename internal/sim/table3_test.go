@@ -227,6 +227,11 @@ func TestDecodeSpecRejects(t *testing.T) {
 		"neg scale":       bad(func(c *PoCSpec) { c.Scale = -0.5 }),
 		"huge scale":      bad(func(c *PoCSpec) { c.Scale = 1e9 }),
 		"point bench":     []byte(`{"Kind":"single","Bench":"nope","Mech":{"ID":"hybp"},"Cycles":10,"Warmup":1}`),
+		"neg replication": []byte(`{"Kind":"single","Bench":"gcc","Mech":{"ID":"replication","ReplFactor":-1},"Cycles":10,"Warmup":1}`),
+		"keys not pow2":   []byte(`{"Kind":"single","Bench":"gcc","Mech":{"ID":"hybp","KeysEntries":1000},"Cycles":10,"Warmup":1}`),
+		"neg keys":        []byte(`{"Kind":"solo","Bench":"gcc","Mech":{"ID":"hybp","KeysEntries":-1024},"Cycles":10,"Warmup":1}`),
+		"huge keys":       []byte(`{"Kind":"solo","Bench":"gcc","Mech":{"ID":"hybp","KeysEntries":4611686018427387904},"Cycles":10,"Warmup":1}`),
+		"huge repl":       []byte(`{"Kind":"solo","Bench":"gcc","Mech":{"ID":"replication","ReplFactor":1e6},"Cycles":10,"Warmup":1}`),
 	}
 	for name, raw := range cases {
 		out, err := ExecutePoint(raw)
