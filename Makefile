@@ -17,7 +17,8 @@ GO ?= go
 # which the root go build cannot see, and perfbench-check runs its three
 # simulator workloads against their pinned output digests. fuzz-smoke
 # fuzzes the decoders of untrusted bytes (job specs, hybpd job requests,
-# traces and cache files) and the fault-schedule spec parser.
+# traces, cache files, journal segments and cluster result uploads) and
+# the fault-schedule spec parser.
 # vet-portable keeps the non-amd64 file set compiling.
 ci: fmt vet vet-portable lint build test race fuzz-smoke benchsmoke perfbench-build perfbench-check chaossmoke cluster-smoke trace-smoke journal-smoke
 
@@ -69,26 +70,36 @@ race:
 	$(GO) test -race -short ./internal/cluster/...
 	$(GO) test -race ./internal/server/...
 
-# fuzz-smoke fuzzes five parsers, ten seconds each past their seed
-# corpora. Four decode untrusted bytes: sim's job-spec decoder (what a
+# fuzz-smoke fuzzes seven parsers, ten seconds each past their seed
+# corpora. Six decode untrusted bytes: sim's job-spec decoder (what a
 # cluster worker reads off the network; corpus in internal/sim/testdata/fuzz),
 # where every accepted spec must re-encode to canonical bytes that decode
 # to the same spec; hybpd's job-request normalization (corpus in
 # internal/server/testdata/fuzz), where every accepted request must
 # normalize again to itself and the same job key; the HYBPTRC1 trace
 # decoder (corpus in internal/trace/testdata/fuzz), where every accepted
-# stream must re-encode to the same header and events; and the harness
+# stream must re-encode to the same header and events; the harness
 # disk-cache envelope reader (corpus in internal/harness/testdata/fuzz),
 # which may accept a file only when its checksum binds a payload that
-# decodes, and must rename every other file to .bad intact. The fifth is
-# the -faults spec parser (corpus in internal/faults/testdata/fuzz), where
+# decodes, and must rename every other file to .bad intact; the journal's
+# segment reader (corpus in internal/journal/testdata/fuzz), whose Replay
+# must yield exactly the leading run of frames whose checksums verify; and
+# the cluster coordinator's result handler (corpus in
+# internal/cluster/testdata/fuzz), which may accept a payload only when its
+# sum equals harness.Checksum of the payload bytes. The seventh is the
+# -faults spec parser (corpus in internal/faults/testdata/fuzz), where
 # every accepted spec's Config must render to a spec that parses to the
-# same Config. No input may panic any of them.
+# same Config. No input may panic any of them. Each FuzzJournalReplay
+# input costs a directory of files, so its new corpus entries are shrunk
+# in 100 runs: under the default 60 s of minimizing, the first new entry
+# would take the rest of the ten seconds.
 fuzz-smoke:
 	$(GO) test ./internal/sim/ -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime 10s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz '^FuzzNormalize$$' -fuzztime 10s
 	$(GO) test ./internal/trace/ -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 10s
 	$(GO) test ./internal/harness/ -run '^$$' -fuzz '^FuzzCacheGet$$' -fuzztime 10s
+	$(GO) test ./internal/journal/ -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/cluster/ -run '^$$' -fuzz '^FuzzResultRequest$$' -fuzztime 10s
 	$(GO) test ./internal/faults/ -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s
 
 # chaos is the fault-injection gate: hybpexp -scale tiny under a pinned

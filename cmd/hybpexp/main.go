@@ -142,6 +142,10 @@ func main() {
 		}
 		sc.DefaultInterval = sc.Intervals[len(sc.Intervals)-1]
 	}
+	if err := sc.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "-cycles/-warmup: %v\n", err)
+		os.Exit(2)
+	}
 
 	benches := workload.FigureApps()
 	if *nbench > 0 && *nbench < len(benches) {

@@ -77,9 +77,13 @@ func main() {
 		os.Exit(2)
 	}
 
+	sc := sim.Scale{MaxCycles: *cycles, WarmupCycles: *warmup, Seed: *seed}
+	if err := sc.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "-cycles/-warmup: %v\n", err)
+		os.Exit(2)
+	}
 	r := sim.NewDefaultRunner()
 	defer r.Close()
-	sc := sim.Scale{MaxCycles: *cycles, WarmupCycles: *warmup, Seed: *seed}
 	res, base, err := r.Versus(sc, *bench, *bench2, m, *interval)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "hybpsim: %v\n", err)

@@ -149,3 +149,10 @@ func TestBadReplicationOverhead(t *testing.T) {
 		}
 	}
 }
+
+func TestWarmupNotBelowCycles(t *testing.T) {
+	out, errOut, code := hybpsim(t, "-bench", "gcc", "-cycles", "100", "-warmup", "200")
+	if code != 2 || out != "" || !strings.Contains(errOut, "warmup (200 cycles) must be below the cycle budget (100 cycles)") {
+		t.Errorf("exit %d, stdout %q, stderr %q; want exit 2 and the warm-up error", code, out, errOut)
+	}
+}

@@ -160,7 +160,8 @@ type threadState struct {
 	spec      ThreadSpec
 	gen       workload.Source // active context's event source
 	genA      workload.Source // measured workload
-	genB      workload.Source // alternate context (nil if none)
+	genB      workload.Source // alternate context (nil until the first switch to it)
+	hasB      bool            // the thread has an alternate context
 	onA       bool
 	idx       uint8 // this thread's index in Sim.threads, hoisted off the step path
 	asidA     uint16
@@ -212,12 +213,11 @@ func New(cfg Config) *Sim {
 		} else {
 			ts.genA = workload.New(spec.Workload, spec.Seed)
 		}
-		switch {
-		case spec.OtherSource != nil:
-			ts.genB = spec.OtherSource
-		case spec.OtherWorkload.Name != "":
-			ts.genB = workload.New(spec.OtherWorkload, spec.Seed^0xB)
-		}
+		// A generated alternate context is built at the thread's first
+		// context switch (see contextSwitch): a point whose switch interval
+		// is not below its budget never reads it.
+		ts.genB = spec.OtherSource
+		ts.hasB = spec.OtherSource != nil || spec.OtherWorkload.Name != ""
 		ts.gen = ts.genA
 		ts.baseCPI = ts.gen.Profile().BaseCPI
 		if cfg.SwitchInterval > 0 {
@@ -386,11 +386,14 @@ func (ts *threadState) asid() uint16 {
 // interval).
 func (s *Sim) contextSwitch(ts *threadState) {
 	ts.res.Switches++
-	if ts.genB != nil {
+	if ts.hasB {
 		ts.onA = !ts.onA
 		if ts.onA {
 			ts.gen = ts.genA
 		} else {
+			if ts.genB == nil {
+				ts.genB = workload.New(ts.spec.OtherWorkload, ts.spec.Seed^0xB)
+			}
 			ts.gen = ts.genB
 		}
 		ts.baseCPI = ts.gen.Profile().BaseCPI

@@ -330,3 +330,32 @@ func TestContextSwitchWithoutPartnerStillNotifies(t *testing.T) {
 		t.Fatalf("flushes = %d, want one per switch", f.ContextFlushes)
 	}
 }
+
+func TestPartnerBuiltAtFirstSwitch(t *testing.T) {
+	const budget = 400_000
+	for _, tc := range []struct {
+		interval uint64
+		built    bool
+	}{
+		{0, false},
+		{budget, false},
+		{2 * budget, false},
+		{budget / 4, true},
+	} {
+		s := New(Config{
+			Core:           quickCore(),
+			BPU:            secure.NewBaseline(secure.Config{Threads: 1, Seed: 1}),
+			Threads:        []ThreadSpec{{Workload: workload.Get("namd"), OtherWorkload: workload.Get("gcc"), Seed: 7}},
+			SwitchInterval: tc.interval,
+			MaxCycles:      budget,
+		})
+		ts := s.threads[0]
+		if ts.genB != nil {
+			t.Fatalf("interval %d: partner built by New", tc.interval)
+		}
+		res := s.Run()
+		if built := ts.genB != nil; built != tc.built {
+			t.Errorf("interval %d: partner built = %v, want %v (%d switches)", tc.interval, built, tc.built, res.Threads[0].Switches)
+		}
+	}
+}

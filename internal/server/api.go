@@ -378,7 +378,7 @@ func normalizeExperiment(e ExperimentRequest) (ExperimentRequest, error) {
 	if e.Seed == 0 {
 		e.Seed = 2022
 	}
-	return e, nil
+	return e, e.scale().Validate()
 }
 
 // scale resolves a normalized experiment request to its effective Scale.

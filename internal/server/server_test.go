@@ -100,6 +100,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"huge replication", `{"sim":{"bench":"gcc","mech":"replication","replication_overhead":1e6}}`, "replication factor"},
 		{"bad experiment", `{"experiment":{"name":"fig99"}}`, "unknown experiment"},
 		{"bad scale", `{"experiment":{"name":"cost","scale":"galactic"}}`, "unknown scale"},
+		{"experiment warmup over cycles", `{"experiment":{"name":"tournament","cycles":100,"warmup":200}}`, "warmup"},
+		{"experiment warmup over preset", `{"experiment":{"name":"fig5","scale":"tiny","warmup":700000}}`, "warmup"},
 		{"kind mismatch", `{"kind":"experiment","sim":{"bench":"gcc"}}`, "does not match"},
 	}
 	for _, tc := range cases {

@@ -90,10 +90,14 @@ func ParseMechanism(name string) (MechanismID, error) {
 // VI's 10,000, Figure 8's overhead sweep, the quadratic sweeps' four-
 // benchmark cap). nil benches and mixes select the paper's full sets.
 // Unknown names are an error, not a panic, so servers can surface them to
-// remote clients; so is a failed attack trial, whose zero result would
-// otherwise read as "Defend". Other experiments render failed points as
-// zeros and leave the failure to the harness's FirstErr.
+// remote clients; so is a scale that fails Validate, and a failed attack
+// trial, whose zero result would otherwise read as "Defend". Other
+// experiments render failed points as zeros and leave the failure to the
+// harness's FirstErr.
 func (r *Runner) Experiment(name string, sc Scale, benches []string, mixes []workload.Mix) (Printable, error) {
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
 	if len(benches) == 0 {
 		benches = workload.FigureApps()
 	}

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hybp/internal/harness"
@@ -346,5 +347,19 @@ func TestMechSpecBuildHonoursConfig(t *testing.T) {
 	}
 	if stale == 0 {
 		t.Error("KeysEntries dropped the caller's 25-access key-change threshold")
+	}
+}
+
+// TestExperimentRejectsEmptyWindow: a warm-up at or above the cycle budget
+// is an error before any job runs, not a table of 0 IPCs and NaN gains.
+func TestExperimentRejectsEmptyWindow(t *testing.T) {
+	r := newTestRunner(t, harness.Options{Workers: 1})
+	sc := Tiny()
+	sc.MaxCycles, sc.WarmupCycles = 100, 200
+	if p, err := r.Experiment("tournament", sc, nil, nil); err == nil || p != nil || !strings.Contains(err.Error(), "warmup") {
+		t.Fatalf("Experiment = %v, %v; want a warmup error", p, err)
+	}
+	if st := r.Stats(); st.Submitted != 0 {
+		t.Fatalf("%d jobs submitted for a rejected scale", st.Submitted)
 	}
 }

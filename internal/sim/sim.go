@@ -4,7 +4,11 @@
 // benchmarks print. DESIGN.md §3 maps every experiment to its function.
 package sim
 
-import "hybp/internal/workload"
+import (
+	"fmt"
+
+	"hybp/internal/workload"
+)
 
 // Scale sets simulation fidelity. The paper warms 1B and measures 1B
 // instructions per point on Gem5; our scales trade wall-clock for
@@ -21,6 +25,17 @@ type Scale struct {
 	DefaultInterval uint64
 	// Seed drives all randomness.
 	Seed uint64
+}
+
+// Validate rejects a scale whose warm-up is not below its cycle budget: its
+// measurement window is empty, so every IPC would read 0 and every relative
+// figure NaN. Front ends call it on the scale they resolved, after presets
+// and overrides, before running anything.
+func (sc Scale) Validate() error {
+	if sc.WarmupCycles >= sc.MaxCycles {
+		return fmt.Errorf("warmup (%d cycles) must be below the cycle budget (%d cycles)", sc.WarmupCycles, sc.MaxCycles)
+	}
+	return nil
 }
 
 // Tiny is the chaos/smoke-test scale: the whole experiment suite in

@@ -43,18 +43,28 @@ const (
 	kindIndirect
 )
 
-// staticBranch is one branch site with its behavior state.
+// staticBranch is one branch site with its behavior state, in 24 bytes: it
+// holds only what cannot be recomputed. A direct target lies within 16 bits
+// above its PC, a hard branch's bias is the profile's HardBias, and an
+// indirect branch's targets are indirectTarget(0..ntargets-1).
 type staticBranch struct {
-	pc      uint64
-	target  uint64
-	kind    branchKind
-	taken   bool    // bias direction for biased branches
-	bias    float64 // taken probability for hard branches
-	pattern uint32  // periodic pattern bits
-	period  uint8
-	phase   uint8
-	targets []uint64 // indirect target set
-	tsel    uint8
+	pc        uint64
+	pattern   uint32 // periodic pattern bits
+	targetOff uint16 // direct target − pc
+	kind      branchKind
+	taken     bool // bias direction for biased branches
+	period    uint8
+	phase     uint8
+	ntargets  uint8 // indirect target count
+	tsel      uint8 // indirect target selected last
+}
+
+// target returns the direct target.
+func (sb *staticBranch) target() uint64 { return sb.pc + uint64(sb.targetOff) }
+
+// indirectTarget returns the j-th target of an indirect branch.
+func (sb *staticBranch) indirectTarget(j uint8) uint64 {
+	return sb.pc + 0x1000 + uint64(j)*0x200
 }
 
 // Generator produces a deterministic branch event stream for one profile.
@@ -69,15 +79,17 @@ type Generator struct {
 	user   []staticBranch
 	kernel []staticBranch
 
-	regions    [][]int // indices into user, one slice per region
-	regionLoop []int   // loop branch index per region
-	regionTrip []int   // stable trip count per region's loop
-	hotRegions int     // size of the hot region subset
+	// Region r is user[r·regionSize : min((r+1)·regionSize, len(user))];
+	// its last branch is the loop back-edge.
+	regionSize int
+	regionTrip []int // stable trip count per region's loop
+	hotRegions int   // size of the hot region subset
 
-	curRegion  int
-	coldCursor int
-	curPos     int
-	tripLeft   int
+	curRegion   int
+	regionFirst int // index in user of curRegion's first branch
+	regionLast  int // index in user of curRegion's last (loop) branch
+	cur         int // index in user of the next branch to execute
+	tripLeft    int
 
 	// frames holds the return addresses of the open call frames of the
 	// current region visit; queue holds already-generated events (call
@@ -100,39 +112,27 @@ type Generator struct {
 // reproducible streams (a software context is (profile, seed)).
 func New(prof Profile, seed uint64) *Generator {
 	g := &Generator{prof: prof, rand: rng.New(seed ^ 0x60a7)}
-	g.user = g.makeBranches(prof.StaticBranches, 0x0000_4000_0000, false)
-	g.kernel = g.makeBranches(maxInt(64, prof.StaticBranches/8), 0xFFFF_8000_0000, true)
+	g.user = g.makeBranches(prof.StaticBranches, 0x0000_4000_0000)
+	g.kernel = g.makeBranches(max(64, prof.StaticBranches/8), 0xFFFF_8000_0000)
 	g.layoutRegions()
 	g.scheduleSyscall()
 	return g
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // makeBranches assigns behaviors per the profile's mix.
-func (g *Generator) makeBranches(n int, base uint64, kernelSet bool) []staticBranch {
+func (g *Generator) makeBranches(n int, base uint64) []staticBranch {
 	p := g.prof
 	out := make([]staticBranch, n)
 	for i := range out {
 		pc := base + uint64(i)*64 + uint64(g.rand.Intn(16))*4
-		sb := staticBranch{pc: pc, target: pc + 0x400 + uint64(g.rand.Intn(1024))*4}
+		sb := staticBranch{pc: pc, targetOff: uint16(0x400 + g.rand.Intn(1024)*4)}
 		r := g.rand.Float64()
 		switch {
 		case r < p.IndirectFrac:
 			sb.kind = kindIndirect
-			nt := 2 + g.rand.Intn(3)
-			sb.targets = make([]uint64, nt)
-			for j := range sb.targets {
-				sb.targets[j] = pc + 0x1000 + uint64(j)*0x200
-			}
+			sb.ntargets = uint8(2 + g.rand.Intn(3))
 		case r < p.IndirectFrac+p.HardFrac:
 			sb.kind = kindHard
-			sb.bias = p.HardBias
 		case r < p.IndirectFrac+p.HardFrac+p.PatternFrac:
 			sb.kind = kindPattern
 			// Short periods keep the correlation within the reach of the
@@ -146,53 +146,44 @@ func (g *Generator) makeBranches(n int, base uint64, kernelSet bool) []staticBra
 		}
 		out[i] = sb
 	}
-	_ = kernelSet
 	return out
 }
 
-// layoutRegions groups user branches into loop regions.
+// layoutRegions groups user branches into loop regions of consecutive
+// branches.
 func (g *Generator) layoutRegions() {
-	p := g.prof
-	size := p.RegionSize
-	if size < 2 {
-		size = 2
-	}
-	for i := 0; i < len(g.user); i += size {
-		end := i + size
-		if end > len(g.user) {
-			end = len(g.user)
-		}
-		idx := make([]int, 0, end-i)
-		for j := i; j < end; j++ {
-			idx = append(idx, j)
-		}
-		g.regions = append(g.regions, idx)
-		// The last branch of each region acts as its loop back-edge; its
-		// trip count is stable (real loops have learnable trips), with a
-		// rare ±1 wobble applied at run time.
-		g.regionLoop = append(g.regionLoop, idx[len(idx)-1])
-		g.regionTrip = append(g.regionTrip, g.drawTrip())
+	g.regionSize = max(g.prof.RegionSize, 2)
+	// The last branch of each region acts as its loop back-edge; its trip
+	// count is stable (real loops have learnable trips), with a rare ±1
+	// wobble applied at run time.
+	g.regionTrip = make([]int, (len(g.user)+g.regionSize-1)/g.regionSize)
+	for r := range g.regionTrip {
+		g.regionTrip[r] = g.drawTrip()
 	}
 	// Execution is concentrated in a hot subset of regions (real programs
-	// spend most time in little code); cold regions are toured round-robin
+	// spend most time in little code); cold regions are toured at random
 	// on the side, keeping capacity pressure on the tables.
-	g.hotRegions = len(g.regions) / 16
-	if g.hotRegions < 2 {
-		g.hotRegions = 2
-	}
-	if g.hotRegions > len(g.regions) {
-		g.hotRegions = len(g.regions)
-	}
+	g.hotRegions = min(max(len(g.regionTrip)/16, 2), len(g.regionTrip))
+	g.enterRegion(0)
 	g.tripLeft = g.nextTrip()
 }
 
-// nextRegion picks the next region: mostly hot, occasionally the next cold
-// region in sequence.
+// enterRegion makes region r current and starts at its first branch.
+func (g *Generator) enterRegion(r int) {
+	g.curRegion = r
+	g.regionFirst = r * g.regionSize
+	g.regionLast = min(g.regionFirst+g.regionSize, len(g.user)) - 1
+	g.cur = g.regionFirst
+}
+
+// nextRegion picks the next region: mostly hot, occasionally a random cold
+// one.
 func (g *Generator) nextRegion() int {
-	if g.rand.Bool(0.85) || len(g.regions) <= g.hotRegions {
+	n := len(g.regionTrip)
+	if g.rand.Bool(0.85) || n <= g.hotRegions {
 		return g.rand.Intn(g.hotRegions)
 	}
-	return g.hotRegions + g.rand.Intn(len(g.regions)-g.hotRegions)
+	return g.hotRegions + g.rand.Intn(n-g.hotRegions)
 }
 
 func (g *Generator) drawTrip() int {
@@ -234,27 +225,27 @@ func (g *Generator) outcome(sb *staticBranch) (bool, uint64) {
 	case kindIndirect:
 		// Rotate among targets with occasional random jumps.
 		if g.rand.Bool(0.2) {
-			sb.tsel = uint8(g.rand.Intn(len(sb.targets)))
+			sb.tsel = uint8(g.rand.Intn(int(sb.ntargets)))
 		} else {
-			sb.tsel = (sb.tsel + 1) % uint8(len(sb.targets))
+			sb.tsel = (sb.tsel + 1) % sb.ntargets
 		}
-		return true, sb.targets[sb.tsel]
+		return true, sb.indirectTarget(sb.tsel)
 	case kindHard:
-		return g.rand.Bool(sb.bias), sb.target
+		return g.rand.Bool(g.prof.HardBias), sb.target()
 	case kindPattern:
 		taken := (sb.pattern>>sb.phase)&1 == 1
 		sb.phase++
 		if sb.phase >= sb.period {
 			sb.phase = 0
 		}
-		return taken, sb.target
+		return taken, sb.target()
 	default:
 		// Strongly biased: 2% noise keeps trainers honest.
 		t := sb.taken
 		if g.rand.Bool(0.02) {
 			t = !t
 		}
-		return t, sb.target
+		return t, sb.target()
 	}
 }
 
@@ -278,7 +269,7 @@ func (g *Generator) callFrac() float64 {
 // Return per open frame, innermost first, each targeting its recorded
 // return address.
 func (g *Generator) emitReturns() {
-	exitPC := g.user[g.regionLoop[g.curRegion]].pc + 0x20
+	exitPC := g.user[g.regionLast].pc + 0x20
 	for i := len(g.frames) - 1; i >= 0; i-- {
 		g.bookkeep(g.queueEvent(secure.Branch{
 			PC:     exitPC + uint64(len(g.frames)-1-i)*8,
@@ -301,7 +292,7 @@ func (g *Generator) emitCalls() {
 	if g.rand.Bool(0.3) {
 		depth += 1 + g.rand.Intn(2)
 	}
-	entry := g.user[g.regions[g.curRegion][0]].pc
+	entry := g.user[g.regionFirst].pc
 	for j := 0; j < depth; j++ {
 		callPC := entry - 0x400 + uint64(j)*0x30
 		target := entry
@@ -355,25 +346,21 @@ func (g *Generator) Next() Event {
 		}
 	}
 
-	region := g.regions[g.curRegion]
-	bi := region[g.curPos]
-	sb := &g.user[bi]
+	sb := &g.user[g.cur]
 
 	var ev Event
-	isLoopBranch := bi == g.regionLoop[g.curRegion] && len(region) > 1
-
-	if isLoopBranch {
+	if g.cur == g.regionLast && g.regionLast > g.regionFirst {
+		// The region's loop back-edge.
 		g.tripLeft--
 		taken := g.tripLeft > 0
 		ev = Event{Gap: gap, Priv: keys.User, Branch: secure.Branch{
-			PC: sb.pc, Target: g.user[region[0]].pc, Taken: taken, Kind: secure.Cond,
+			PC: sb.pc, Target: g.user[g.regionFirst].pc, Taken: taken, Kind: secure.Cond,
 		}}
 		if taken {
-			g.curPos = 0
+			g.cur = g.regionFirst
 		} else {
 			g.emitReturns()
-			g.curRegion = g.nextRegion()
-			g.curPos = 0
+			g.enterRegion(g.nextRegion())
 			g.tripLeft = g.nextTrip()
 			g.emitCalls()
 		}
@@ -382,9 +369,9 @@ func (g *Generator) Next() Event {
 		ev = Event{Gap: gap, Priv: keys.User, Branch: secure.Branch{
 			PC: sb.pc, Target: target, Taken: taken, Kind: sb.branchKind(),
 		}}
-		g.curPos++
-		if g.curPos >= len(region) {
-			g.curPos = 0
+		g.cur++
+		if g.cur > g.regionLast {
+			g.cur = g.regionFirst
 		}
 	}
 
